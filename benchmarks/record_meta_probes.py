@@ -9,8 +9,13 @@ The probe fixture (``tests/probes/meta_probes.json``) pins the **exact**
 routings — every move string, plus the hex-encoded total power — that the
 stochastic metaheuristics (GA, SA, TABU) produce for fixed seeds on a
 small matrix of instances: a pristine mesh, a faulty-links mesh and a
-hotspot-derated mesh.  ``tests/test_meta_probes.py`` asserts the current
-implementations reproduce the fixture bit for bit.
+hotspot-derated mesh.  Its ``warm`` section pins the routing service's
+answers the same way: :func:`repro.service.route_incremental` replayed
+over a fixed churn trace of each probe platform (the cold first request,
+then warm re-routes seeded with the previous answer), for every polish
+mode — move strings, hex power and the :class:`RepairStats` counts.
+``tests/test_meta_probes.py`` asserts the current implementations
+reproduce the fixture bit for bit.
 
 The point is refactor safety: the fixture was recorded from the scalar
 seed implementations *before* the batched metaheuristic engine landed, so
@@ -39,6 +44,8 @@ from repro.heuristics import (  # noqa: E402
     TabuRouting,
 )
 from repro.scenarios import get_scenario  # noqa: E402
+from repro.scenarios.churn import ChurnSpec, churn_trace  # noqa: E402
+from repro.service import POLISH_MODES, route_incremental  # noqa: E402
 from repro.workloads import uniform_random_workload  # noqa: E402
 
 FIXTURE = REPO_ROOT / "tests" / "probes" / "meta_probes.json"
@@ -89,8 +96,55 @@ def probe_heuristics() -> dict:
     }
 
 
+#: churn-trace platforms of the ``warm`` section: the pristine paper
+#: setting and the two profiled probe meshes
+WARM_SCENARIOS = ("paper-baseline", "faulty-links", "hotspot-derate")
+
+
+def warm_trace(scenario: str) -> list:
+    """The fixed churn trace replayed on ``scenario`` (moderate load)."""
+    spec = ChurnSpec(
+        scenario=scenario, requests=5, seed=8, fault_prob=0.3, rate_scale=0.5
+    )
+    return churn_trace(spec)
+
+
+def warm_snapshot(scenario: str, polish: str) -> list:
+    """Service answers along ``scenario``'s trace, each seeding the next."""
+    out = []
+    prev = None
+    for step in warm_trace(scenario):
+        outcome = route_incremental(
+            step.problem, prev, polish=polish, seed=step.index
+        )
+        routing = outcome.routing
+        out.append(
+            {
+                "moves": [
+                    routing.paths(i)[0].moves
+                    for i in range(step.problem.num_comms)
+                ],
+                "valid": outcome.valid,
+                "total_power_hex": (
+                    outcome.power.hex() if outcome.valid else "inf"
+                ),
+                "stats": outcome.stats.as_dict(),
+            }
+        )
+        prev = routing
+    return out
+
+
 def snapshot() -> dict:
-    out: dict = {}
+    out: dict = {
+        "warm": {
+            scenario: {
+                polish: warm_snapshot(scenario, polish)
+                for polish in POLISH_MODES
+            }
+            for scenario in WARM_SCENARIOS
+        }
+    }
     for pname, problem in probe_problems().items():
         entry: dict = {}
         for hname, heuristic in probe_heuristics().items():

@@ -7,8 +7,12 @@ the current implementations still reproduce every recorded move string
 and hex-encoded power exactly — same seeds, same RNG draw order, same
 float math — on pristine, faulty-links and hotspot-derated meshes.
 
+The fixture's ``warm`` section pins the routing service's answers along a
+fixed churn trace per probe platform (cold first request, then warm
+re-routes), for every polish mode, including the repair statistics.
+
 Regenerate with ``python benchmarks/record_meta_probes.py`` only when a
-PR deliberately changes metaheuristic behaviour.
+change deliberately alters metaheuristic or service behaviour.
 """
 
 from __future__ import annotations
@@ -18,7 +22,13 @@ import pathlib
 
 import pytest
 
-from benchmarks.record_meta_probes import probe_heuristics, probe_problems
+from benchmarks.record_meta_probes import (
+    WARM_SCENARIOS,
+    probe_heuristics,
+    probe_problems,
+    warm_snapshot,
+)
+from repro.service import POLISH_MODES
 
 FIXTURE = pathlib.Path(__file__).parent / "probes" / "meta_probes.json"
 
@@ -47,3 +57,9 @@ def test_probe_bit_identical(pname, hname, fixture, problems):
     assert result.valid == expected["valid"]
     if expected["valid"]:
         assert result.report.total_power.hex() == expected["total_power_hex"]
+
+
+@pytest.mark.parametrize("scenario", WARM_SCENARIOS)
+@pytest.mark.parametrize("polish", POLISH_MODES)
+def test_warm_probe_bit_identical(scenario, polish, fixture):
+    assert warm_snapshot(scenario, polish) == fixture["warm"][scenario][polish]
