@@ -591,22 +591,31 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     from repro.io import load_routing
-    from repro.noc import FlitSimulator, direction_class_vc, is_deadlock_free
+    from repro.noc import (
+        ArrayFlitSimulator,
+        direction_class_vc,
+        is_deadlock_free,
+    )
 
     routing = load_routing(args.routing)
     free = is_deadlock_free(routing, direction_class_vc)
     print(f"deadlock-free under direction-class VCs: {free}")
-    sim = FlitSimulator(
+    sim = ArrayFlitSimulator(
         routing,
         num_vcs=4,
         buffer_flits=args.buffer_flits,
         packet_flits=args.packet_flits,
     )
     rep = sim.run(args.cycles, warmup=args.cycles // 10)
-    ach = [f.achieved_fraction for f in rep.flows]
-    print(
+    line = (
         f"delivered {rep.total_delivered_flits} flits over {args.cycles} "
-        f"cycles; throughput achieved: min {min(ach):.2f} mean "
-        f"{sum(ach) / len(ach):.2f}"
+        "cycles"
     )
+    ach = [f.achieved_fraction for f in rep.flows]
+    if ach:
+        line += (
+            f"; throughput achieved: min {min(ach):.2f} mean "
+            f"{sum(ach) / len(ach):.2f}"
+        )
+    print(line)
     return 0

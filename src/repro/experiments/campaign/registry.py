@@ -41,7 +41,12 @@ from repro.experiments.campaign.theorybench import (
 from repro.utils.validation import ReproError
 
 #: the artifacts `repro campaign check --fast` regenerates (CI gate)
-FAST_SUBSET = ("fig2_example", "summary_6_4", "noc_latency")
+FAST_SUBSET = (
+    "fig2_example",
+    "summary_6_4",
+    "noc_latency",
+    "ablation_improver_start",
+)
 
 
 def _figure_sweeps() -> List[Experiment]:

@@ -21,10 +21,12 @@ the repair pipeline
    ``solve_from``) and then descends to a joint fixed point of the
    corner-flip descent (:func:`~repro.heuristics.local_moves.descend`)
    and XYI's corner-relocation descent
-   (:meth:`XYImprover._route_from
-   <repro.heuristics.xy_improver.XYImprover>`).  The burst is what lets
-   a warm result track cold quality: a repaired seed inherits its
-   ancestor's local optimum, and pure descent cannot escape that basin,
+   (:meth:`XYImprover.relocate
+   <repro.heuristics.xy_improver.XYImprover.relocate>`), both in place
+   on the polish's one
+   :class:`~repro.heuristics.local_moves.RoutingState`.  The burst is
+   what lets a warm result track cold quality: a repaired seed inherits
+   its ancestor's local optimum, and pure descent cannot escape that basin,
    but a low-temperature chain started *next to* a good solution can —
    at a fraction of the cost of the constructive solve the cold path
    pays.  The same polish finishes cold solves, so warm-vs-cold is a
@@ -188,9 +190,7 @@ def match_previous(problem: RoutingProblem, prev: Routing) -> SeedMatch:
 # polish
 # ----------------------------------------------------------------------
 def _polish_joint(
-    problem: RoutingProblem,
-    state: RoutingState,
-    targets: Optional[set] = None,
+    state: RoutingState, targets: Optional[set] = None
 ) -> Tuple[RoutingState, int, int]:
     """Alternate flip and relocation descents to a joint fixed point.
 
@@ -205,13 +205,18 @@ def _polish_joint(
     flips = descend(state, targets)
     relocations = 0
     for _ in range(_POLISH_ROUNDS):
-        cur = state.snapshot()
-        paths = improver._route_from(problem, cur)
-        changed = [i for i, p in enumerate(paths) if p.moves != cur[i]]
+        before = state.snapshot()
+        # rebuild the ledger from its move strings before each sweep:
+        # incremental loads carry float dust (~5e-13) that can cross a
+        # discrete frequency boundary, so both descents grade loads built
+        # from scratch, exactly as on a freshly constructed state
+        state.restore(before)
+        improver.relocate(state)
+        changed = [i for i, mv in enumerate(before) if state.move_str(i) != mv]
         if not changed:
             break
         relocations += len(changed)
-        state = RoutingState(problem, [p.moves for p in paths])
+        state.restore(state.snapshot())  # same float-dust rebuild
         flips += descend(state, changed)
     return state, flips, relocations
 
@@ -238,7 +243,7 @@ def _polish(
         paths = burst._route_from(problem, state.snapshot())
         state = RoutingState(problem, [p.moves for p in paths])
         targets = None  # the burst may touch anything: descend globally
-    return _polish_joint(problem, state, targets)
+    return _polish_joint(state, targets)
 
 
 # ----------------------------------------------------------------------

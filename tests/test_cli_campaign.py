@@ -83,7 +83,7 @@ class TestCampaignCli:
         out = capsys.readouterr().out
         assert "DIFF" in out and "first diff" in out
 
-    def test_check_served_from_cache_second_time(self, capsys, cache_dir):
+    def test_check_never_reads_the_cache(self, capsys, cache_dir):
         # against the real committed results/
         argv = [
             "campaign",
@@ -97,7 +97,33 @@ class TestCampaignCli:
         assert main(argv) == 0
         assert "computed 1" in capsys.readouterr().out
         assert main(argv) == 0
-        assert "cached 1, computed 0" in capsys.readouterr().out
+        assert "cached 0, computed 1" in capsys.readouterr().out
+
+    def test_check_finds_a_diff_behind_a_warm_cache(
+        self, capsys, cache_dir, monkeypatch
+    ):
+        # cache keys hash the spec, not the code: a check served from the
+        # cache would miss a heuristic that changed since the cache warmed
+        from repro.heuristics import RoutingState, XYImprover
+
+        argv_tail = [
+            "ablation_improver_start",
+            "--cache-dir",
+            cache_dir,
+            "--results-dir",
+            str(REPO_ROOT / "results"),
+        ]
+        assert main(["campaign", "check"] + argv_tail) == 0
+        capsys.readouterr()
+        # XYI now returns its starting routing unimproved
+        monkeypatch.setattr(
+            XYImprover,
+            "_descend_paths",
+            lambda self, problem, moves: RoutingState(problem, moves).paths(),
+        )
+        assert main(["campaign", "check"] + argv_tail) == 1
+        out = capsys.readouterr().out
+        assert "DIFF" in out and "cached 0" in out
 
     def test_trials_override_does_not_write_artifact(
         self, capsys, cache_dir, tmp_path

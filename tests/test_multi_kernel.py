@@ -11,9 +11,6 @@ models):
   :class:`~repro.core.evaluate.RoutingReport` records == the
   per-instance reference, hex-exactly — including through NumPy's
   pairwise-summation regime (instances with > 128 links);
-* :class:`~repro.mesh.batch.MultiLedger` cross-instance corner-flip
-  grading == per-ledger :meth:`LoadLedger.flip_dcost`, before and after
-  committed flips, on whichever tier (python / native) is active;
 * the sweep runner's stacked trial path (``REPRO_STACKED=1``) == the
   looped reference (``REPRO_STACKED=0``) on every aggregate;
 * the service batch front's stacked final grading == per-document
@@ -33,14 +30,12 @@ from repro import Communication, Mesh, PowerModel, RoutingProblem
 from repro.core.evaluate import evaluate_routing
 from repro.heuristics.base import get_heuristic
 from repro.heuristics.batch_eval import DeferredEval, evaluate_deferred
-from repro.mesh.batch import LoadLedger, MultiLedger
 from repro.mesh.kernel import (
     MultiProblemKernel,
     _row_sums,
     stacked_enabled,
     stacked_mode,
 )
-from repro.mesh.moves import xy_moves
 from repro.scenarios.spec import MeshSpec, duplex
 from repro.utils.validation import InvalidParameterError
 
@@ -253,92 +248,6 @@ class TestRowSums:
         got = _row_sums(flat, bounds)
         for i, (s, e) in enumerate(bounds):
             assert _hex(got[i]) == _hex(float(np.sum(flat[s:e].copy())))
-
-
-class TestMultiLedger:
-    def _ledgers(self, problems, rng):
-        out = []
-        for problem in problems:
-            moves = [
-                xy_moves(c.src, c.snk) if rng.integers(2) else m
-                for c, m in zip(
-                    problem.comms, _random_moves(problem, rng)
-                )
-            ]
-            out.append(
-                LoadLedger(
-                    problem.mesh,
-                    problem.power,
-                    [(c.src, c.snk) for c in problem.comms],
-                    [c.rate for c in problem.comms],
-                    moves,
-                    kernel=problem.kernel(),
-                )
-            )
-        return out
-
-    @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(0, 10**6), b=st.integers(2, 4))
-    def test_flip_dcost_many_matches_scalar(self, seed, b):
-        problems, rng = _random_batch(seed, b)
-        ledgers = self._ledgers(problems, rng)
-        ml = MultiLedger(ledgers)
-        cands = []
-        for bi, led in enumerate(ledgers):
-            for ci in led.mutable_comms()[:3]:
-                for j in led.flip_pos(ci)[:2]:
-                    cands.append((bi, ci, j))
-        if not cands:
-            return
-        got = ml.flip_dcost_many(cands)
-        ref = [
-            ledgers[bi].flip_dcost(ci, j) for bi, ci, j in cands
-        ]
-        assert [_hex(g) for g in got] == [_hex(r) for r in ref]
-        # commit one flip through the MultiLedger and re-grade: python
-        # ledgers and any native mirrors must stay in lockstep.  The
-        # candidate list is re-derived from flip_pos — a commit can turn
-        # a previously legal corner degenerate, and flip_dcost's
-        # contract only covers corners legal *now*
-        bi, ci, j = cands[0]
-        ml.commit_flip(bi, ci, j, float(got[0]))
-        cands2 = []
-        for b2, led in enumerate(ledgers):
-            for c2 in led.mutable_comms()[:3]:
-                for j2 in led.flip_pos(c2)[:2]:
-                    cands2.append((b2, c2, j2))
-        if not cands2:
-            return
-        again = ml.flip_dcost_many(cands2)
-        ref2 = [
-            ledgers[b2].flip_dcost(c2, j2) for b2, c2, j2 in cands2
-        ]
-        assert [_hex(g) for g in again] == [_hex(r) for r in ref2]
-
-    def test_mixed_models_fall_back_to_python_tier(self):
-        rng = np.random.default_rng(11)
-        problems = [
-            _random_problem(Mesh(4, 4), PowerModel.kim_horowitz(), 5, rng),
-            _random_problem(
-                Mesh(4, 4), PowerModel.continuous_kim_horowitz(), 5, rng
-            ),
-        ]
-        ledgers = self._ledgers(problems, rng)
-        ml = MultiLedger(ledgers)
-        # the continuous model has no scalar graded tables, so the native
-        # tier is ineligible regardless of REPRO_NATIVE
-        assert ml.tier == "python"
-        cands = [(0, 0, j) for j in ledgers[0].flip_pos(0)[:2]] + [
-            (1, 0, j) for j in ledgers[1].flip_pos(0)[:2]
-        ]
-        if cands:
-            got = ml.flip_dcost_many(cands)
-            ref = [ledgers[bi].flip_dcost(ci, j) for bi, ci, j in cands]
-            assert [_hex(g) for g in got] == [_hex(r) for r in ref]
-
-    def test_empty_batch_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            MultiLedger([])
 
 
 class TestStackedMode:

@@ -117,6 +117,48 @@ class TestCli:
         assert main(["simulate", str(path), "--cycles", "2000"]) == 0
         assert "deadlock-free" in capsys.readouterr().out
 
+    def test_simulate_empty_routing(self, tmp_path, capsys):
+        from repro.io import save_routing
+
+        prob = RoutingProblem(Mesh(4, 4), PowerModel.kim_horowitz(), [])
+        path = tmp_path / "empty.json"
+        save_routing(Routing.xy(prob), path)
+        assert main(["simulate", str(path), "--cycles", "500"]) == 0
+        out = capsys.readouterr().out
+        assert "delivered 0 flits over 500 cycles\n" in out
+
+    def test_simulate_matches_reference_engine(self, tmp_path, capsys):
+        from repro.io import save_routing
+        from repro.noc import FlitSimulator
+
+        mesh = Mesh(4, 4)
+        prob = RoutingProblem(
+            mesh,
+            PowerModel.kim_horowitz(),
+            [
+                Communication((0, 0), (2, 3), 700.0),
+                Communication((3, 1), (0, 2), 400.0),
+                Communication((1, 3), (1, 0), 900.0),
+            ],
+        )
+        routing = Routing.xy(prob)
+        path = tmp_path / "r.json"
+        save_routing(routing, path)
+        argv = ["simulate", str(path), "--cycles", "3000"]
+        argv += ["--buffer-flits", "2", "--packet-flits", "4"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        rep = FlitSimulator(
+            routing, num_vcs=4, buffer_flits=2, packet_flits=4
+        ).run(3000, warmup=300)
+        ach = [f.achieved_fraction for f in rep.flows]
+        assert rep.total_delivered_flits > 0
+        assert (
+            f"delivered {rep.total_delivered_flits} flits over 3000 cycles; "
+            f"throughput achieved: min {min(ach):.2f} "
+            f"mean {sum(ach) / len(ach):.2f}\n"
+        ) in out
+
     def test_bad_mesh_is_a_clean_error(self, capsys):
         code = main(["generate", "--mesh", "bogus"])
         assert code == 2
