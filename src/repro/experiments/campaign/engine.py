@@ -166,13 +166,8 @@ def run_experiment(
     jobs: int = 1,
     store: Optional[ArtifactStore] = None,
     use_cache: bool = True,
-    fresh: bool = False,
 ) -> CampaignRunReport:
-    """Execute one experiment through the cache and render its artifact.
-
-    ``fresh`` computes every shard instead of reading cached ones (the
-    computed shards still refresh the cache when ``use_cache`` is set).
-    """
+    """Execute one experiment through the cache and render its artifact."""
     from repro.experiments.runner import ParallelSweepRunner
 
     experiment = resolve_experiment(experiment)
@@ -188,11 +183,7 @@ def run_experiment(
     results: Dict[str, Any] = {}
     missing: List[Shard] = []
     for shard in shards:
-        records = (
-            store.load_shard(experiment, shard.key)
-            if use_cache and not fresh
-            else None
-        )
+        records = store.load_shard(experiment, shard.key) if use_cache else None
         if records is None:
             missing.append(shard)
         else:
@@ -252,10 +243,12 @@ def check_experiment(
 ) -> CampaignCheckReport:
     """Regenerate one artifact and byte-compare it to the committed file.
 
-    Every shard is computed afresh: cache keys hash the spec, not the
-    code, so a cached shard could hide a behaviour change.
+    Every shard is computed without the cache: cache keys hash the spec,
+    not the code, so a cached shard could hide a behaviour change.
     """
-    report = run_experiment(experiment, jobs=jobs, store=store, fresh=True)
+    report = run_experiment(
+        experiment, jobs=jobs, store=store, use_cache=False
+    )
     path = artifact_path(report.name, results_dir)
     try:
         committed = path.read_bytes()

@@ -83,45 +83,34 @@ class TestCampaignCli:
         out = capsys.readouterr().out
         assert "DIFF" in out and "first diff" in out
 
-    def test_check_never_reads_the_cache(self, capsys, cache_dir):
-        # against the real committed results/
-        argv = [
-            "campaign",
-            "check",
-            "fig2_example",
-            "--cache-dir",
-            cache_dir,
-            "--results-dir",
-            str(REPO_ROOT / "results"),
-        ]
-        assert main(argv) == 0
+    def test_check_never_reads_the_cache(self, capsys, cache_dir, tmp_path):
+        # warm the cache, then check against the real committed results/
+        run = ["campaign", "run", "fig2_example", "--cache-dir", cache_dir]
+        assert main(run + ["--results-dir", str(tmp_path)]) == 0
         assert "computed 1" in capsys.readouterr().out
-        assert main(argv) == 0
+        check = ["campaign", "check", "fig2_example", "--cache-dir", cache_dir]
+        assert main(check + ["--results-dir", str(REPO_ROOT / "results")]) == 0
         assert "cached 0, computed 1" in capsys.readouterr().out
 
     def test_check_finds_a_diff_behind_a_warm_cache(
-        self, capsys, cache_dir, monkeypatch
+        self, capsys, cache_dir, tmp_path, monkeypatch
     ):
         # cache keys hash the spec, not the code: a check served from the
         # cache would miss a heuristic that changed since the cache warmed
         from repro.heuristics import RoutingState, XYImprover
 
-        argv_tail = [
-            "ablation_improver_start",
-            "--cache-dir",
-            cache_dir,
-            "--results-dir",
-            str(REPO_ROOT / "results"),
-        ]
-        assert main(["campaign", "check"] + argv_tail) == 0
-        capsys.readouterr()
+        name = "ablation_improver_start"
+        run = ["campaign", "run", name, "--cache-dir", cache_dir]
+        assert main(run + ["--results-dir", str(tmp_path)]) == 0
+        assert "computed 3" in capsys.readouterr().out
         # XYI now returns its starting routing unimproved
         monkeypatch.setattr(
             XYImprover,
             "_descend_paths",
             lambda self, problem, moves: RoutingState(problem, moves).paths(),
         )
-        assert main(["campaign", "check"] + argv_tail) == 1
+        check = ["campaign", "check", name, "--cache-dir", cache_dir]
+        assert main(check + ["--results-dir", str(REPO_ROOT / "results")]) == 1
         out = capsys.readouterr().out
         assert "DIFF" in out and "cached 0" in out
 
