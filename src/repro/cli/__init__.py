@@ -37,7 +37,6 @@ from repro.cli.commands import (
     cmd_apps,
     cmd_figures,
     cmd_generate,
-    cmd_latency,
     cmd_noc_sweep,
     cmd_open_problem,
     cmd_route,
@@ -305,20 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also save the exact (hex-float) latency curve to this path",
     )
     n_sweep.set_defaults(func=cmd_noc_sweep)
-
-    l = sub.add_parser(
-        "latency", help="load-latency sweep of a saved routing"
-    )
-    l.add_argument("routing", help="routing JSON path")
-    l.add_argument("--fractions", default="0.2,0.5,0.8,1.0,1.5,2.0")
-    l.add_argument("--cycles", type=int, default=4000)
-    l.add_argument(
-        "--injection",
-        choices=("deterministic", "bernoulli", "burst"),
-        default="bernoulli",
-    )
-    l.add_argument("--seed", type=int, default=0)
-    l.set_defaults(func=cmd_latency)
 
     a = sub.add_parser(
         "apps", help="route the published multimedia task graphs"

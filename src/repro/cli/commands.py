@@ -286,43 +286,6 @@ def cmd_theory(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_latency(args: argparse.Namespace) -> int:
-    from repro.io import load_routing
-    from repro.noc import latency_sweep, saturation_fraction
-    from repro.utils.tables import format_table
-
-    fractions = parse_fractions(args.fractions)  # validate before any I/O
-    check_seed(args.seed)
-    routing = load_routing(args.routing)
-    points = latency_sweep(
-        routing,
-        fractions,
-        cycles=args.cycles,
-        warmup=args.cycles // 5,
-        injection=args.injection,
-        seed=args.seed,
-    )
-    rows = [
-        [
-            f"{pt.fraction:.2f}",
-            f"{pt.mean_latency:.1f}" if pt.mean_latency < 1e12 else "-",
-            f"{pt.delivered_ratio:.2f}",
-            f"{pt.max_link_utilization:.2f}",
-            "DEADLOCK" if pt.deadlocked else ("ok" if pt.stable else "sat"),
-        ]
-        for pt in points
-    ]
-    print(
-        format_table(
-            ["fraction", "latency", "delivered", "max util", "state"], rows
-        )
-    )
-    sat = saturation_fraction(points)
-    print(f"saturation fraction: {sat:.2f}" if sat != float("inf")
-          else "no saturation inside the sweep")
-    return 0
-
-
 def cmd_noc_sweep(args: argparse.Namespace) -> int:
     from repro.noc import latency_sweep, points_table, saturation_fraction
 

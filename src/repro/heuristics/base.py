@@ -243,15 +243,3 @@ def path_swap_deltas(
             deltas[lid] = d
     return {lid: d for lid, d in deltas.items() if d != 0.0}
 
-
-def apply_deltas(loads: np.ndarray, deltas: Mapping[int, float]) -> None:
-    """In-place application of a per-link load-change mapping."""
-    for lid, d in deltas.items():
-        loads[lid] += d
-        if loads[lid] < 0:
-            # numerical dust from float accumulation; clamp to zero
-            if loads[lid] < -1e-6:
-                raise InvalidParameterError(
-                    f"link {lid} driven to negative load {loads[lid]}"
-                )
-            loads[lid] = 0.0

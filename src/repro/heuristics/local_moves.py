@@ -19,6 +19,10 @@ consistent under moves via O(1) flip-link arithmetic, a scalar fast path
 for small graded deltas, and one-NumPy-pass grading of whole candidate
 neighbourhoods.  All of it is float-for-float identical to evaluating
 each move through :func:`repro.heuristics.base.graded_power_delta`.
+The state adds only what needs the problem — seeding from a
+:class:`~repro.core.routing.Routing`, the fault-aware greedy reroute and
+export back to paths; every move goes through the ledger's
+``flip_dcost``/``commit_flip`` and ``resample_eval``/``commit_resample``.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ import numpy as np
 from repro.core.problem import RoutingProblem
 from repro.core.routing import Routing
 from repro.mesh.batch import LoadLedger, flip_corners
-from repro.mesh.moves import validate_moves
 from repro.mesh.paths import Path
 from repro.utils.validation import InvalidParameterError
 
@@ -132,38 +135,8 @@ class RoutingState(LoadLedger):
         return self.greedy_reroute(ci, bwd=bwd)
 
     # ------------------------------------------------------------------
-    # validated public variant of the trusted resample evaluation
+    # export
     # ------------------------------------------------------------------
-    def resample_delta(self, ci: int, new_moves: str):
-        """Deltas and cost change if ``ci`` switched to ``new_moves``.
-
-        ``new_moves`` may come from anywhere, so it is validated; the
-        metaheuristic inner loops use the trusted
-        :meth:`~repro.mesh.batch.LoadLedger.resample_eval` (their
-        proposals are legal by construction).
-        """
-        comm = self.problem.comms[ci]
-        validate_moves(comm.src, comm.snk, new_moves)
-        return self.resample_eval(ci, new_moves)
-
-    def apply_resample(
-        self,
-        ci: int,
-        new_moves: str,
-        new_links: List[int],
-        deltas,
-        dcost: float,
-    ) -> None:
-        """Commit a path resample whose delta was already evaluated."""
-        self.commit_resample(ci, new_moves, new_links, deltas, dcost)
-
-    # ------------------------------------------------------------------
-    # export / bookkeeping
-    # ------------------------------------------------------------------
-    def restore(self, snapshot: Sequence[str]) -> None:
-        """Reset to a previously captured snapshot (full rebuild)."""
-        self._load(snapshot)
-
     def paths(self) -> List[Path]:
         """Materialise the current state as :class:`Path` objects.
 

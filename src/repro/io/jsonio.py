@@ -10,7 +10,6 @@ constructors (loading runs the same checks as building by hand).
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 from typing import Any, Callable, Dict, Optional, Tuple, Union
 
@@ -23,32 +22,10 @@ from repro.utils.validation import InvalidParameterError
 
 PathLike = Union[str, pathlib.Path]
 
-#: default ceiling on memoized parses per :class:`ParseCache`
-_PARSE_CACHE_DEFAULT = 256
-
-
-def parse_cache_size() -> int:
-    """Entry limit for new :class:`ParseCache` instances.
-
-    ``REPRO_PARSE_CACHE`` overrides the default of
-    ``_PARSE_CACHE_DEFAULT`` entries (must be an integer >= 1) — sized
-    for the service front, where the cache now lives for the process
-    rather than one batch.
-    """
-    raw = os.environ.get("REPRO_PARSE_CACHE", "")
-    if not raw:
-        return _PARSE_CACHE_DEFAULT
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InvalidParameterError(
-            f"REPRO_PARSE_CACHE must be an integer, got {raw!r}"
-        ) from None
-    if value < 1:
-        raise InvalidParameterError(
-            f"REPRO_PARSE_CACHE must be >= 1, got {value}"
-        )
-    return value
+#: ceiling on memoized parses per :class:`ParseCache` — sized for the
+#: service front, where the cache lives for the process rather than one
+#: batch
+PARSE_CACHE_SIZE = 256
 
 
 class ParseCache:
@@ -63,12 +40,11 @@ class ParseCache:
     arrays, graded power tables, routing kernels) once instead of once
     per request.
 
-    The memo is bounded: at most ``maxsize`` entries
-    (:func:`parse_cache_size` by default, i.e. the ``REPRO_PARSE_CACHE``
-    env override), least-recently-*used* evicted first, with the
-    eviction count kept on :attr:`evictions`.  A process-lifetime cache
-    under adversarial traffic (every request a distinct mesh) therefore
-    stays O(maxsize) instead of growing without bound.
+    The memo is bounded: at most :data:`PARSE_CACHE_SIZE` entries,
+    least-recently-*used* evicted first, with the eviction count kept on
+    :attr:`evictions`.  A process-lifetime cache under adversarial
+    traffic (every request a distinct mesh) therefore stays bounded
+    instead of growing with it.
 
     Sharing is sound because parsing is a pure function of the
     document and every consumer treats the parsed objects as
@@ -77,17 +53,10 @@ class ParseCache:
     processes.
     """
 
-    __slots__ = ("_memo", "maxsize", "hits", "misses", "evictions")
+    __slots__ = ("_memo", "hits", "misses", "evictions")
 
-    def __init__(self, maxsize: Optional[int] = None) -> None:
-        if maxsize is None:
-            maxsize = parse_cache_size()
-        if maxsize < 1:
-            raise InvalidParameterError(
-                f"ParseCache maxsize must be >= 1, got {maxsize}"
-            )
+    def __init__(self) -> None:
         self._memo: Dict[Tuple[str, str], Any] = {}
-        self.maxsize = maxsize
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -113,7 +82,7 @@ class ParseCache:
         except KeyError:
             self.misses += 1
             value = build(doc)
-            while len(self._memo) >= self.maxsize:
+            if len(self._memo) >= PARSE_CACHE_SIZE:
                 self._memo.pop(next(iter(self._memo)))
                 self.evictions += 1
         else:

@@ -36,7 +36,6 @@ from repro.mesh.paths import Path, CommDag, count_paths, manhattan_path_count
 from repro.mesh.kernel import (
     FlatRoutingKernel,
     links_from_vmask,
-    moves_to_links_array,
     moves_to_vmask,
     stack_vmasks,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "manhattan_path_count",
     "FlatRoutingKernel",
     "links_from_vmask",
-    "moves_to_links_array",
     "moves_to_vmask",
     "stack_vmasks",
     "LoadLedger",

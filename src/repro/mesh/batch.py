@@ -22,6 +22,13 @@ under the two elementary moves of the local-search metaheuristics:
 * **path resample** — replace a whole move string; an O(path-length)
   delta against the maintained link lists.
 
+Each move has one entry point, the one every searcher calls: a flip is
+:meth:`LoadLedger.flip_pos` → :meth:`~LoadLedger.flip_dcost` →
+:meth:`~LoadLedger.commit_flip`, a resample is
+:meth:`~LoadLedger.resample_eval` → :meth:`~LoadLedger.commit_resample`,
+and :meth:`~LoadLedger.restore` rebuilds the whole state from move
+strings.
+
 Three grading tiers, all **bit-identical** to
 :func:`repro.heuristics.base.graded_power_delta` on the same delta:
 
@@ -416,28 +423,6 @@ class LoadLedger:
             n2 = self._hbase[ci] + u * (q - 1) + v
         return n1, n2
 
-    def flip_links(
-        self, ci: int, j: int
-    ) -> Tuple[Tuple[int, int], Tuple[int, int]]:
-        """Old and new link pairs for the corner flip ``(ci, j)``.
-
-        Returns ``((old_j, old_j1), (new_j, new_j1))``.  Raises when the
-        two moves are equal (nothing to flip).
-        """
-        mv = self.moves[ci]
-        if not 0 <= j < len(mv) - 1:
-            raise InvalidParameterError(
-                f"flip position {j} out of range for a {len(mv)}-hop path"
-            )
-        if mv[j] == mv[j + 1]:
-            raise InvalidParameterError(
-                f"moves {j} and {j + 1} of communication {ci} are both "
-                f"{mv[j]!r}; corner flips need distinct moves"
-            )
-        n1, n2 = self._flip_new_links(ci, j)
-        lks = self.links[ci]
-        return (lks[j], lks[j + 1]), (n1, n2)
-
     # ------------------------------------------------------------------
     # corner-flip grading
     # ------------------------------------------------------------------
@@ -489,13 +474,6 @@ class LoadLedger:
         return (p1 + p2 + p3 + p4) - (
             plist[o1] + plist[o2] + plist[n1] + plist[n2]
         )
-
-    def flip_delta(self, ci: int, j: int) -> Tuple[Dict[int, float], float]:
-        """Load deltas and graded-cost change of corner flip ``(ci, j)``."""
-        (o1, o2), (n1, n2) = self.flip_links(ci, j)
-        r = self._rates_l[ci]
-        deltas = {o1: -r, o2: -r, n1: r, n2: r}
-        return deltas, self._graded_delta(deltas)
 
     def _flip_rows(
         self, cands: Sequence[Tuple[int, int]]
@@ -650,34 +628,6 @@ class LoadLedger:
             self._bump(o2, -r)
             self._bump(n1, r)
             self._bump(n2, r)
-        self.cost += dcost
-
-    def apply_flip(
-        self, ci: int, j: int, deltas: Dict[int, float], dcost: float
-    ) -> None:
-        """Commit a corner flip whose delta dict was already evaluated."""
-        self._fstash = None
-        n1, n2 = self._flip_new_links(ci, j)
-        mv = self.moves[ci]
-        lks = self.links[ci]
-        o1, o2 = lks[j], lks[j + 1]
-        mv[j], mv[j + 1] = mv[j + 1], mv[j]
-        lks[j] = n1
-        lks[j + 1] = n2
-        link_comms = self._link_comms
-        link_comms[o1].discard(ci)
-        link_comms[o2].discard(ci)
-        link_comms[n1].add(ci)
-        link_comms[n2].add(ci)
-        self._cumv[ci][j + 1] = self._cumv[ci][j] + (1 if mv[j] == MOVE_V else 0)
-        s = self._mstr[ci]
-        self._mstr[ci] = s[:j] + s[j + 1] + s[j] + s[j + 2 :]
-        if j > 0:
-            self._toggle_corner(ci, j - 1)
-        if j + 2 < len(mv):
-            self._toggle_corner(ci, j + 1)
-        for lid, d in deltas.items():
-            self._bump(lid, d)
         self.cost += dcost
 
     # ------------------------------------------------------------------

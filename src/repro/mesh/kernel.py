@@ -10,13 +10,17 @@ thousands of them.  This module provides the batched equivalents:
 * :func:`links_from_vmask` — link ids of one path, a row-batch of paths, or
   an arbitrarily-shaped move array, computed with a cumulative sum over the
   move array and O(1) link-id arithmetic (no per-hop Python);
-* :func:`moves_to_links_array` — drop-in vectorised replacement for
-  :func:`repro.mesh.moves.moves_to_links`, validating the move counts
-  against the displacement before trusting the arithmetic;
 * :class:`FlatRoutingKernel` — per-problem flattened hop metadata enabling
   *population-level* evaluation: the link ids and link loads of a whole
   batch of complete routings (one move string per communication per row) in
-  a handful of NumPy operations.
+  a handful of NumPy operations;
+* :class:`MultiProblemKernel` — stacked evaluation of one routing per
+  instance across a batch of instances: loads in one ``np.bincount`` over
+  the routings' link ids, then power, validity and reports per power
+  model in one pass.
+
+The scalar :func:`repro.mesh.moves.moves_to_links` stays the reference
+oracle the vectorised conversions are tested against.
 
 Link ids follow the orientation-major layout documented in
 :mod:`repro.mesh.topology`; the arithmetic below mirrors
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 import os
 
-from typing import List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -132,47 +136,6 @@ def links_from_vmask(
     u = src[0] + su * x
     v = src[1] + sv * y
     return _link_ids_from_coords(mesh, su, sv, u, v, vmask)
-
-
-MovesLike = Union[str, Sequence[str], np.ndarray]
-
-
-def moves_to_links_array(
-    mesh: Mesh, src: Coord, snk: Coord, moves: MovesLike
-) -> np.ndarray:
-    """Vectorised :func:`repro.mesh.moves.moves_to_links`.
-
-    ``moves`` may be a move string, a sequence of move strings (a batch of
-    candidate paths for the same ``src``/``snk`` pair), or a pre-converted
-    boolean vmask array (1-D or 2-D).  Returns ``int64`` link ids with one
-    row per input path.
-
-    Move counts are validated against the displacement (the cheap part of
-    :func:`~repro.mesh.moves.validate_moves`); the per-hop geometry then
-    follows from arithmetic alone.
-    """
-    mesh.check_core(*src)
-    mesh.check_core(*snk)
-    du = abs(snk[0] - src[0])
-    dv = abs(snk[1] - src[1])
-    su, sv = direction_steps(direction_of(src, snk))
-    if isinstance(moves, str):
-        vmask = moves_to_vmask(moves)
-    elif isinstance(moves, np.ndarray):
-        vmask = moves.astype(bool, copy=False)
-    else:
-        vmask = stack_vmasks(moves)
-    if vmask.shape[-1] != du + dv:
-        raise InvalidParameterError(
-            f"move array of length {vmask.shape[-1]} cannot join {src} to "
-            f"{snk} (needs {du + dv} hops)"
-        )
-    nv = vmask.sum(axis=-1)
-    if np.any(nv != du):
-        raise InvalidParameterError(
-            f"move array has {nv} V hops; {src} -> {snk} needs {du}"
-        )
-    return links_from_vmask(mesh, src, su, sv, vmask)
 
 
 class FlatRoutingKernel:
@@ -398,24 +361,6 @@ class FlatRoutingKernel:
     # ------------------------------------------------------------------
     # scenario threading (fault masks and power scaling)
     # ------------------------------------------------------------------
-    def dead_hop_mask(self, vmask: np.ndarray) -> np.ndarray:
-        """Boolean array (same shape as ``vmask``) marking hops on dead links.
-
-        All-``False`` on pristine meshes without computing link ids.
-        """
-        dead = self.mesh.dead_mask
-        if dead is None:
-            return np.zeros(vmask.shape, dtype=bool)
-        return dead[self.links(vmask)]
-
-    def uses_dead_link(self, vmask: np.ndarray) -> np.ndarray:
-        """Per-routing flag: does the routing traverse any dead link?
-
-        Returns a scalar-shaped array for a flat hop array and a length-
-        ``P`` vector for a population matrix.
-        """
-        return self.dead_hop_mask(vmask).any(axis=-1)
-
     def graded_powers(self, power, vmask: np.ndarray):
         """Graded total power of the routing(s), mesh profile threaded.
 
@@ -495,12 +440,12 @@ class MultiProblemKernel:
     """Stacked evaluation of a batch of problem instances.
 
     Stacks B instances — possibly with different mesh shapes, fault masks,
-    power-scale profiles and power models — into flat batch arrays: hop
-    metadata is the concatenation of the per-instance
-    :class:`FlatRoutingKernel` arrays with the link-id bases shifted into a
-    disjoint per-instance block of the batch link-id space, and load/power
-    evaluation runs one NumPy pass over the whole batch instead of a
-    Python-level loop over instances.
+    power-scale profiles and power models — into flat batch arrays: each
+    instance's links occupy a disjoint block of the batch link-id space
+    (``link_offsets``), the loads of one routing per instance land there in
+    a single ``np.bincount`` (:meth:`loads_from_routings`), and power /
+    validity / report evaluation runs one NumPy pass over the whole batch
+    instead of a Python-level loop over instances.
 
     Mixed shapes are handled by *exact concatenation*, never zero-padding:
     every per-instance quantity lives in its own contiguous slice of the
@@ -522,23 +467,9 @@ class MultiProblemKernel:
     __slots__ = (
         "problems",
         "num_problems",
-        "kernels",
         "link_counts",
         "link_offsets",
         "total_links",
-        "hop_counts",
-        "hop_offsets",
-        "total_hops",
-        "starts",
-        "lengths",
-        "_src_u",
-        "_src_v",
-        "_su",
-        "_sv",
-        "_south_base",
-        "_west_base",
-        "_q_hop",
-        "_hop_rates",
         "_scales",
         "_deads",
         "_scale_flat",
@@ -553,7 +484,6 @@ class MultiProblemKernel:
             )
         self.problems = list(problems)
         self.num_problems = len(self.problems)
-        self.kernels = [p.kernel() for p in self.problems]
         self.link_counts = np.asarray(
             [p.mesh.num_links for p in self.problems], dtype=np.int64
         )
@@ -592,141 +522,7 @@ class MultiProblemKernel:
         for arr in (self.link_counts, self.link_offsets):
             arr.setflags(write=False)
 
-    #: hop-metadata attributes stacked lazily by :meth:`_build_hops` —
-    #: only the move-string paths (:meth:`stack_vmasks` / :meth:`links`)
-    #: need them; the routing-based evaluation paths never pay for them
-    _HOP_ATTRS = frozenset(
-        (
-            "hop_counts",
-            "hop_offsets",
-            "total_hops",
-            "starts",
-            "lengths",
-            "_src_u",
-            "_src_v",
-            "_su",
-            "_sv",
-            "_south_base",
-            "_west_base",
-            "_q_hop",
-            "_hop_rates",
-        )
-    )
-
-    def __getattr__(self, name: str):
-        # unset slots raise AttributeError, landing here exactly once:
-        # first touch of any hop attribute stacks them all
-        if name in MultiProblemKernel._HOP_ATTRS:
-            self._build_hops()
-            return getattr(self, name)
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}"
-        )
-
-    def _build_hops(self) -> None:
-        """Stack the per-hop kernel metadata (deferred until needed)."""
-        kernels = self.kernels
-        loffs = self.link_offsets
-        self.hop_counts = np.asarray(
-            [k.total_hops for k in kernels], dtype=np.int64
-        )
-        self.hop_offsets = np.concatenate(([0], np.cumsum(self.hop_counts)))
-        self.total_hops = int(self.hop_offsets[-1])
-        hoffs = self.hop_offsets
-        self.starts = np.concatenate(
-            [k.starts + hoffs[b] for b, k in enumerate(kernels)]
-        )
-        self.lengths = np.concatenate([k.lengths for k in kernels])
-        self._src_u = np.concatenate([k._src_u for k in kernels])
-        self._src_v = np.concatenate([k._src_v for k in kernels])
-        self._su = np.concatenate([k._su for k in kernels])
-        self._sv = np.concatenate([k._sv for k in kernels])
-        # link-id bases shifted into each instance's block of batch ids
-        self._south_base = np.concatenate(
-            [k._south_base + loffs[b] for b, k in enumerate(kernels)]
-        )
-        self._west_base = np.concatenate(
-            [k._west_base + loffs[b] for b, k in enumerate(kernels)]
-        )
-        self._q_hop = np.concatenate(
-            [
-                np.full(k.total_hops, k.mesh.q, dtype=np.int64)
-                for k in kernels
-            ]
-        )
-        self._hop_rates = np.concatenate([k._hop_rates for k in kernels])
-        for arr in (
-            self.hop_counts,
-            self.hop_offsets,
-            self.starts,
-            self.lengths,
-            self._src_u,
-            self._src_v,
-            self._su,
-            self._sv,
-            self._south_base,
-            self._west_base,
-            self._q_hop,
-            self._hop_rates,
-        ):
-            arr.setflags(write=False)
-
     # ------------------------------------------------------------------
-    def stack_vmasks(self, moves_lists: Sequence[Sequence[str]]) -> np.ndarray:
-        """One routing (move strings) per instance → flat batch hop array.
-
-        Each instance's strings are validated by its own kernel's
-        :meth:`FlatRoutingKernel.routing_vmask` before concatenation.
-        """
-        if len(moves_lists) != self.num_problems:
-            raise InvalidParameterError(
-                f"expected {self.num_problems} routings, "
-                f"got {len(moves_lists)}"
-            )
-        return np.concatenate(
-            [
-                k.routing_vmask(list(m))
-                for k, m in zip(self.kernels, moves_lists)
-            ]
-        )
-
-    def links(self, vmask: np.ndarray) -> np.ndarray:
-        """Batch link id of every hop (segmented-cumsum kernel).
-
-        Same arithmetic as :meth:`FlatRoutingKernel.links`, with per-hop
-        mesh widths and the bases pre-shifted per instance, so the ids land
-        directly in the batch link-id space.
-        """
-        vm = vmask.astype(np.int64)
-        cum_v = np.cumsum(vm, axis=-1)
-        hm = 1 - vm
-        cum_h = np.cumsum(hm, axis=-1)
-        starts = self.starts
-        base_v = np.take(cum_v, starts, axis=-1) - np.take(vm, starts, axis=-1)
-        base_h = np.take(cum_h, starts, axis=-1) - np.take(hm, starts, axis=-1)
-        lengths = self.lengths
-        x = cum_v - vm - np.repeat(base_v, lengths, axis=-1)
-        y = cum_h - hm - np.repeat(base_h, lengths, axis=-1)
-        u = self._src_u + self._su * x
-        v = self._src_v + self._sv * y
-        q = self._q_hop
-        vlid = self._south_base + u * q + v
-        hlid = self._west_base + u * (q - 1) + v
-        return np.where(vmask, vlid, hlid)
-
-    def loads(self, vmask: np.ndarray) -> np.ndarray:
-        """Concatenated link-load vectors of the whole batch (one bincount).
-
-        Bit-identical per instance slice to the per-instance
-        :meth:`FlatRoutingKernel.loads`: batch link ids are disjoint per
-        instance and ``np.bincount`` accumulates each bin in hop order,
-        which concatenation preserves.
-        """
-        links = self.links(vmask)
-        return np.bincount(
-            links, weights=self._hop_rates, minlength=self.total_links
-        ).astype(np.float64)
-
     def loads_from_routings(self, routings: Sequence) -> np.ndarray:
         """Flat batch load vector of one :class:`Routing` per instance.
 
@@ -827,18 +623,6 @@ class MultiProblemKernel:
                     bounds.append((pos, pos + nl))
                     pos += nl
             yield power, idxs, seg, sc, dd, bounds
-
-    def graded_totals(self, loads_flat: np.ndarray) -> np.ndarray:
-        """Per-instance graded total power, one pass per power group.
-
-        ``out[b]`` is bit-identical to
-        ``power_b.total_power_graded(loads_b, scale=..., dead=...)``.
-        """
-        out = np.empty(self.num_problems, dtype=np.float64)
-        for power, idxs, seg, sc, dd, bounds in self._group_views(loads_flat):
-            lp = power.link_power_graded(seg, scale=sc, dead=dd)
-            out[list(idxs)] = _row_sums(lp, bounds)
-        return out
 
     def total_powers(self, loads_flat: np.ndarray) -> np.ndarray:
         """Per-instance strict total power (``inf`` on overload), batched.
@@ -1004,5 +788,5 @@ class MultiProblemKernel:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"MultiProblemKernel({self.num_problems} problems, "
-            f"{self.total_hops} hops, {self.total_links} links)"
+            f"{self.total_links} links)"
         )

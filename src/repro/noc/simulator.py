@@ -247,9 +247,9 @@ class FlitSimulator:
             raise InvalidParameterError(
                 "cannot simulate an invalid routing (some link exceeds BW)"
             )
-        if rate_scale <= 0:
+        if not (np.isfinite(rate_scale) and rate_scale > 0):
             raise InvalidParameterError(
-                f"rate_scale must be > 0, got {rate_scale}"
+                f"rate_scale must be a finite number > 0, got {rate_scale}"
             )
         self.injection = injection_factory(injection)
         self.rate_scale = rate_scale

@@ -221,8 +221,10 @@ def latency_sweep(
     if not fractions:
         raise InvalidParameterError("fractions must be non-empty")
     for frac in fractions:
-        if frac <= 0:
-            raise InvalidParameterError(f"fractions must be > 0, got {frac}")
+        if not (np.isfinite(frac) and frac > 0):
+            raise InvalidParameterError(
+                f"fractions must be finite numbers > 0, got {frac}"
+            )
     if engine not in ENGINES:
         raise InvalidParameterError(
             f"unknown engine {engine!r}; choose from {sorted(ENGINES)}"

@@ -22,6 +22,7 @@ the latency sweeps of :mod:`repro.noc.sweep` quantify.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, List, Optional, Protocol, Sequence
 
 import numpy as np
@@ -45,7 +46,11 @@ InjectionFactory = Callable[
 
 
 class DeterministicInjection:
-    """Fluid credit counter — one packet every ``packet_flits/rate`` cycles."""
+    """Fluid credit counter — one packet every ``packet_flits/rate`` cycles.
+
+    Like :class:`BernoulliInjection` it injects at most one packet per
+    cycle, so the rate may not exceed the packet size.
+    """
 
     __slots__ = ("rate_frac", "packet_flits", "credit")
 
@@ -55,7 +60,7 @@ class DeterministicInjection:
         packet_flits: int,
         rng: Optional[np.random.Generator] = None,
     ):
-        _check_rate(rate_frac)
+        _check_one_packet_per_cycle(rate_frac, packet_flits, "deterministic")
         self.rate_frac = rate_frac
         self.packet_flits = packet_flits
         self.credit = 0.0
@@ -77,13 +82,8 @@ class BernoulliInjection:
     def __init__(
         self, rate_frac: float, packet_flits: int, rng: np.random.Generator
     ):
-        _check_rate(rate_frac)
+        _check_one_packet_per_cycle(rate_frac, packet_flits, "Bernoulli")
         self.p = rate_frac / packet_flits
-        if self.p > 1.0:
-            raise InvalidParameterError(
-                f"Bernoulli injection needs rate <= packet size; got "
-                f"{rate_frac} flits/cycle over {packet_flits}-flit packets"
-            )
         self.rng = rng
 
     def packets(self) -> int:
@@ -142,9 +142,21 @@ class BurstInjection:
 
 
 def _check_rate(rate_frac: float) -> None:
-    if rate_frac < 0:
+    if not (math.isfinite(rate_frac) and rate_frac >= 0):
         raise InvalidParameterError(
-            f"injection rate must be >= 0 flits/cycle, got {rate_frac}"
+            "injection rate must be a finite number >= 0 flits/cycle, "
+            f"got {rate_frac}"
+        )
+
+
+def _check_one_packet_per_cycle(
+    rate_frac: float, packet_flits: int, model: str
+) -> None:
+    _check_rate(rate_frac)
+    if rate_frac / packet_flits > 1.0:
+        raise InvalidParameterError(
+            f"{model} injection needs rate <= packet size; got "
+            f"{rate_frac} flits/cycle over {packet_flits}-flit packets"
         )
 
 

@@ -82,7 +82,7 @@ BatchResults = List[Tuple[int, Dict[str, Any]]]
 #: process-lifetime parse cache shared by every batch this process
 #: evaluates.  Promoted from one-instance-per-batch so steady traffic
 #: repeating a platform across batches parses it once per process, not
-#: once per batch; the LRU bound (``REPRO_PARSE_CACHE``) keeps it from
+#: once per batch; the LRU bound (``PARSE_CACHE_SIZE``) keeps it from
 #: growing with distinct-platform traffic.  Each pool worker holds its
 #: own copy — a ParseCache must never cross a process boundary.
 _PARSE_CACHE = ParseCache()

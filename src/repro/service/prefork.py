@@ -58,6 +58,9 @@ RAPID_DEATH_S = 0.5
 #: … and this many consecutive rapid failures abort the supervisor
 MAX_RAPID_DEATHS = 10
 
+#: signals that ask the supervisor and its shards to drain and exit
+STOP_SIGNALS = (signal.SIGTERM, signal.SIGINT)
+
 
 class StatsBoard:
     """Per-shard counter files under one directory (atomic writes).
@@ -196,8 +199,14 @@ def _shard_main(
     unix_sock: Optional[socket.socket],
     drain_timeout: float,
     server_kwargs: Dict[str, Any],
+    term_pending: List[int],
 ) -> None:
-    """Run one shard's accept loop; never returns (``os._exit``)."""
+    """Run one shard's accept loop; never returns (``os._exit``).
+
+    ``term_pending`` collects SIGTERM/SIGINT that arrived before the
+    event loop took the signals over; the shard then drains as soon as
+    it is listening instead of being killed mid-startup.
+    """
     code = 1
     try:
         # the fault-plan env hook is re-read per shard so REPRO_FAULTS
@@ -222,8 +231,10 @@ def _shard_main(
                 srv = await asyncio.start_server(server._handle, sock=lsock)
             loop = asyncio.get_running_loop()
             stop = asyncio.Event()
-            for sig in (signal.SIGTERM, signal.SIGINT):
+            for sig in STOP_SIGNALS:
                 loop.add_signal_handler(sig, stop.set)
+            if term_pending:
+                stop.set()
 
             async def flush_loop() -> None:
                 while True:
@@ -298,24 +309,38 @@ def run_prefork(
     spawned_at: Dict[int, float] = {}
 
     def spawn(shard_id: int) -> int:
-        pid = os.fork()
-        if pid == 0:  # child: never returns
-            if anchor is not None:
-                anchor.close()  # shards bind their own REUSEPORT socket
-            signal.signal(signal.SIGTERM, signal.SIG_DFL)
-            signal.signal(signal.SIGINT, signal.SIG_DFL)
-            _shard_main(
-                shard_id,
-                board,
-                host=host,
-                port=port,
-                unix_sock=unix_sock,
-                drain_timeout=drain_timeout,
-                server_kwargs=server_kwargs,
-            )
-            raise AssertionError("unreachable")  # pragma: no cover
-        pids[pid] = shard_id
-        spawned_at[pid] = time.monotonic()
+        # shutdown signals are blocked across the fork: the supervisor
+        # gets a pending one only once the new pid is on record, and the
+        # child only once it holds its own handlers
+        signal.pthread_sigmask(signal.SIG_BLOCK, STOP_SIGNALS)
+        try:
+            pid = os.fork()
+            if pid == 0:  # child: never returns
+                if anchor is not None:
+                    anchor.close()  # shards bind their own REUSEPORT socket
+                # a shutdown signal during startup is held, not fatal: the
+                # shard drains once its loop is up (see _shard_main)
+                term_pending: List[int] = []
+                for sig in STOP_SIGNALS:
+                    signal.signal(
+                        sig, lambda signum, frame: term_pending.append(signum)
+                    )
+                signal.pthread_sigmask(signal.SIG_UNBLOCK, STOP_SIGNALS)
+                _shard_main(
+                    shard_id,
+                    board,
+                    host=host,
+                    port=port,
+                    unix_sock=unix_sock,
+                    drain_timeout=drain_timeout,
+                    server_kwargs=server_kwargs,
+                    term_pending=term_pending,
+                )
+                raise AssertionError("unreachable")  # pragma: no cover
+            pids[pid] = shard_id
+            spawned_at[pid] = time.monotonic()
+        finally:
+            signal.pthread_sigmask(signal.SIG_UNBLOCK, STOP_SIGNALS)
         return pid
 
     draining = False

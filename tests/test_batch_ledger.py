@@ -5,8 +5,9 @@ equivalences, each fuzzed here:
 
 * population-batched GA generation grading == per-individual scalar
   grading (loads and graded powers; pristine and faulty/derated meshes);
-* the ledger's scalar flip/delta fast path ==
-  :func:`repro.heuristics.base.graded_power_delta`;
+* the ledger's scalar flip fast path (``flip_dcost``) ==
+  :func:`repro.heuristics.base.graded_power_delta` on the flip geometry
+  of the scalar oracle :func:`repro.mesh.moves.moves_to_links`;
 * the one-pass candidate-neighbourhood grading == per-candidate grading,
   for discrete *and* continuous power models;
 * :func:`repro.mesh.batch._pairwise_sum` == ``np.sum`` through NumPy's
@@ -30,7 +31,7 @@ from repro import Communication, Mesh, PowerModel, RoutingProblem
 from repro.heuristics.base import graded_power_delta, path_swap_deltas
 from repro.heuristics.local_moves import RoutingState, flip_positions
 from repro.mesh.batch import _pairwise_sum
-from repro.mesh.kernel import moves_to_links_array
+from repro.mesh.moves import moves_to_links
 from repro.scenarios.spec import MeshSpec, duplex
 
 
@@ -55,6 +56,25 @@ def _random_problem(mesh: Mesh, power: PowerModel, n: int, seed: int):
             continue
         comms.append(Communication(src, snk, float(rng.uniform(50.0, 2800.0))))
     return RoutingProblem(mesh, power, comms)
+
+
+def _flip_deltas(
+    problem: RoutingProblem, state: RoutingState, ci: int, j: int
+):
+    """Reference load deltas of corner flip ``(ci, j)``.
+
+    The old and new link pairs come from the scalar oracle applied to the
+    current and the flipped move strings, in the ledger's grading order
+    (old pair, then new pair).
+    """
+    comm = problem.comms[ci]
+    mv = state.move_str(ci)
+    flipped = mv[:j] + mv[j + 1] + mv[j] + mv[j + 2 :]
+    mesh = problem.mesh
+    o1, o2 = moves_to_links(mesh, comm.src, comm.snk, mv)[j : j + 2]
+    n1, n2 = moves_to_links(mesh, comm.src, comm.snk, flipped)[j : j + 2]
+    r = comm.rate
+    return {o1: -r, o2: -r, n1: r, n2: r}
 
 
 def _random_genome(problem: RoutingProblem, rng: np.random.Generator):
@@ -122,20 +142,15 @@ class TestDeltaTiers:
             return
         batch = state.flip_dcost_batch(cands)
         for k, (ci, j) in enumerate(cands):
-            (o1, o2), (n1, n2) = state.flip_links(ci, j)
-            rate = problem.comms[ci].rate
             ref = graded_power_delta(
                 power,
                 state.loads,
-                {o1: -rate, o2: -rate, n1: rate, n2: rate},
+                _flip_deltas(problem, state, ci, j),
                 scale=mesh.link_scale,
                 dead=mesh.dead_mask,
             )
             assert state.flip_dcost(ci, j) == ref
             assert batch[k] == ref
-            deltas, dcost = state.flip_delta(ci, j)
-            assert dcost == ref
-            assert deltas == {o1: -rate, o2: -rate, n1: rate, n2: rate}
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10**6))
@@ -154,9 +169,10 @@ class TestDeltaTiers:
             return
         batch = state.flip_dcost_batch(cands)
         for k, (ci, j) in enumerate(cands):
-            deltas, dcost = state.flip_delta(ci, j)
-            ref = graded_power_delta(problem.power, state.loads, deltas)
-            assert dcost == ref
+            ref = graded_power_delta(
+                problem.power, state.loads, _flip_deltas(problem, state, ci, j)
+            )
+            assert state.flip_dcost(ci, j) == ref
             assert batch[k] == ref
 
     @pytest.mark.parametrize("variant", ["pristine", "faulty", "derated"])
@@ -171,9 +187,9 @@ class TestDeltaTiers:
         for ci in range(problem.num_comms):
             new_mv = problem.dag(ci).random_moves(rng)
             new_links, deltas, dcost = state.resample_eval(ci, new_mv)
-            assert new_links == moves_to_links_array(
+            assert new_links == moves_to_links(
                 mesh, problem.comms[ci].src, problem.comms[ci].snk, new_mv
-            ).tolist()
+            )
             assert deltas == path_swap_deltas(
                 state.links[ci], new_links, problem.comms[ci].rate
             )

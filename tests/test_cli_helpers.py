@@ -140,7 +140,7 @@ class TestCliErrorPaths:
 
     def test_latency_bad_fractions(self, capsys):
         self._expect(
-            ["latency", "r.json", "--fractions", "x"],
+            ["noc", "sweep", "r.json", "--fractions", "x"],
             capsys,
             "--fractions must be comma-separated numbers",
         )
@@ -187,7 +187,7 @@ class TestCliErrorPaths:
 
     def test_latency_bad_seed(self, capsys):
         self._expect(
-            ["latency", "r.json", "--seed", "-1"],
+            ["noc", "sweep", "r.json", "--seed", "-1"],
             capsys,
             "--seed must be >= 0, got -1",
         )

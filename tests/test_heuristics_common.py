@@ -18,11 +18,10 @@ from repro.heuristics import (
     get_heuristic,
 )
 from repro.heuristics.base import (
-    apply_deltas,
     graded_power_delta,
     path_swap_deltas,
 )
-from repro.heuristics.local_moves import RoutingState, flip_positions
+from repro.heuristics.local_moves import RoutingState
 from repro.scenarios import MeshSpec, duplex
 from repro.utils.validation import InvalidParameterError
 from repro.workloads import uniform_random_workload
@@ -182,10 +181,10 @@ def polish(state: RoutingState, max_passes: int = 20) -> RoutingState:
             applied = True
             while applied:  # flip positions shift after every applied flip
                 applied = False
-                for j in flip_positions(state.moves[ci]):
-                    deltas, dcost = state.flip_delta(ci, j)
+                for j in state.flip_pos(ci):
+                    dcost = state.flip_dcost(ci, j)
                     if dcost < 0:
-                        state.apply_flip(ci, j, deltas, dcost)
+                        state.commit_flip(ci, j, dcost)
                         applied = improved = True
                         break
         if not improved:
@@ -269,13 +268,3 @@ class TestSharedHelpers:
 
     def test_graded_power_delta_empty(self, pm_kh):
         assert graded_power_delta(pm_kh, np.zeros(4), {}) == 0.0
-
-    def test_apply_deltas_clamps_dust(self):
-        loads = np.array([1.0])
-        apply_deltas(loads, {0: -1.0 - 1e-9})
-        assert loads[0] == 0.0
-
-    def test_apply_deltas_rejects_real_negative(self):
-        loads = np.array([1.0])
-        with pytest.raises(InvalidParameterError):
-            apply_deltas(loads, {0: -2.0})

@@ -1,9 +1,9 @@
 """Property tests: the flat-array kernel must match the per-hop reference.
 
-The vectorised primitives (`moves_to_links_array`, `FlatRoutingKernel`,
-`PowerModel.total_power_graded_many`, `Path.from_validated`) exist purely
-for speed — every test here pins them to the slow, obviously-correct
-implementations they replace.
+The vectorised primitives (`links_from_vmask` over `moves_to_vmask` /
+`stack_vmasks`, `FlatRoutingKernel`, `PowerModel.total_power_graded_many`,
+`Path.from_validated`) exist purely for speed — every test here pins them
+to the slow, obviously-correct implementations they replace.
 """
 
 import numpy as np
@@ -12,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Mesh, PowerModel
+from repro.mesh.diagonals import direction_of, direction_steps
 from repro.mesh.kernel import (
     FlatRoutingKernel,
     links_from_vmask,
-    moves_to_links_array,
     moves_to_vmask,
     stack_vmasks,
 )
@@ -55,13 +55,23 @@ def mesh_pair_moves(draw):
     return mesh, src, snk, "".join(perm)
 
 
+def vmask_links(mesh, src, snk, vmask) -> np.ndarray:
+    """Link ids of ``vmask`` joining ``src`` to ``snk`` (production call)."""
+    su, sv = direction_steps(direction_of(src, snk))
+    return links_from_vmask(mesh, src, su, sv, vmask)
+
+
 class TestMovesToLinksArray:
+    """Move strings → link-id arrays: ``links_from_vmask`` over the
+    ``moves_to_vmask`` / ``stack_vmasks`` conversions, exactly as
+    ``Path.from_validated`` and TB run it."""
+
     @given(mesh_pair_moves())
     @settings(max_examples=200, deadline=None)
     def test_matches_reference_single(self, data):
         mesh, src, snk, moves = data
         ref = moves_to_links(mesh, src, snk, moves)
-        got = moves_to_links_array(mesh, src, snk, moves)
+        got = vmask_links(mesh, src, snk, moves_to_vmask(moves))
         assert got.dtype == np.int64
         assert got.tolist() == ref
 
@@ -70,7 +80,7 @@ class TestMovesToLinksArray:
     def test_matches_reference_two_bend_batch(self, data):
         mesh, src, snk = data
         cands = two_bend_moves(src, snk)
-        batch = moves_to_links_array(mesh, src, snk, cands)
+        batch = vmask_links(mesh, src, snk, stack_vmasks(cands))
         assert batch.shape == (len(cands), len(cands[0]))
         for row, m in zip(batch, cands):
             assert row.tolist() == moves_to_links(mesh, src, snk, m)
@@ -79,24 +89,15 @@ class TestMovesToLinksArray:
     @settings(max_examples=100, deadline=None)
     def test_accepts_precomputed_vmask(self, data):
         mesh, src, snk, moves = data
-        vmask = moves_to_vmask(moves)
-        got = moves_to_links_array(mesh, src, snk, vmask)
+        vmask = np.array([m == "V" for m in moves], dtype=bool)
+        got = vmask_links(mesh, src, snk, vmask)
         assert got.tolist() == moves_to_links(mesh, src, snk, moves)
 
-    def test_rejects_wrong_length(self):
-        mesh = Mesh(4, 4)
-        with pytest.raises(InvalidParameterError):
-            moves_to_links_array(mesh, (0, 0), (2, 2), "HV")
-
-    def test_rejects_wrong_counts(self):
-        mesh = Mesh(4, 4)
-        with pytest.raises(InvalidParameterError):
-            moves_to_links_array(mesh, (0, 0), (2, 2), "HHHH")
-
     def test_rejects_foreign_moves(self):
-        mesh = Mesh(4, 4)
         with pytest.raises(InvalidParameterError):
-            moves_to_links_array(mesh, (0, 0), (2, 2), "HVXV")
+            moves_to_vmask("HVXV")
+        with pytest.raises(InvalidParameterError):
+            stack_vmasks(["HVHV", "HVXV"])
 
     def test_rejects_ragged_batch(self):
         with pytest.raises(InvalidParameterError):
@@ -117,7 +118,7 @@ class TestPathFromValidated:
     def test_accepts_precomputed_links(self):
         mesh = Mesh(5, 5)
         moves = xy_moves((0, 0), (3, 4))
-        lids = moves_to_links_array(mesh, (0, 0), (3, 4), moves)
+        lids = vmask_links(mesh, (0, 0), (3, 4), moves_to_vmask(moves))
         path = Path.from_validated(mesh, (0, 0), (3, 4), moves, lids)
         assert path == Path(mesh, (0, 0), (3, 4), moves)
 

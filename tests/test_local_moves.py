@@ -1,4 +1,10 @@
-"""Tests for the local-move machinery shared by SA and TABU."""
+"""Tests for the local-move machinery shared by SA and TABU.
+
+Flips go through the ledger's production entry points (``flip_pos`` →
+``flip_dcost`` → ``commit_flip``) and resamples through ``resample_eval``
+→ ``commit_resample``, the calls the metaheuristics and the warm-start
+polish make.
+"""
 
 from __future__ import annotations
 
@@ -13,6 +19,7 @@ from repro.heuristics.local_moves import (
     flip_positions,
     initial_moves,
 )
+from repro.mesh.moves import moves_to_links
 from repro.mesh.paths import Path
 from repro.utils.validation import InvalidParameterError
 from tests.conftest import make_random_problem
@@ -23,6 +30,17 @@ def xy_state(problem: RoutingProblem) -> RoutingState:
         problem,
         [Path.xy(problem.mesh, c.src, c.snk).moves for c in problem.comms],
     )
+
+
+def flip(state: RoutingState, ci: int, j: int) -> None:
+    """Grade and commit corner flip ``(ci, j)`` as the searchers do."""
+    state.commit_flip(ci, j, state.flip_dcost(ci, j))
+
+
+def resample(state: RoutingState, ci: int, new_moves: str) -> None:
+    """Grade and commit a path resample as the searchers do."""
+    new_links, deltas, dcost = state.resample_eval(ci, new_moves)
+    state.commit_resample(ci, new_moves, new_links, deltas, dcost)
 
 
 class TestFlipPositions:
@@ -65,33 +83,35 @@ class TestFlips:
             mesh44, pm_kh, [Communication((0, 0), (2, 2), 500.0)]
         )
         state = RoutingState(problem, ["HVHV"])
-        (o1, o2), (n1, n2) = state.flip_links(0, 0)
-        assert [o1, o2] == state.links[0][:2]
-        assert {n1, n2}.isdisjoint({o1, o2})
+        o1, o2 = state.links[0][:2]
+        flip(state, 0, 0)
+        assert state.move_str(0) == "VHHV"
+        assert state.links[0] == moves_to_links(mesh44, (0, 0), (2, 2), "VHHV")
+        assert {o1, o2}.isdisjoint(state.links[0][:2])
+        assert state.loads[o1] == 0.0 and state.loads[o2] == 0.0
 
     def test_flip_on_equal_moves_rejected(self, mesh44, pm_kh):
         problem = RoutingProblem(
             mesh44, pm_kh, [Communication((0, 0), (2, 2), 500.0)]
         )
         state = RoutingState(problem, ["HHVV"])
-        with pytest.raises(InvalidParameterError):
-            state.flip_links(0, 0)
+        assert state.flip_pos(0) == [1]  # equal moves are no corner
+        flip(state, 0, 1)
+        assert state.flip_pos(0) == [0, 1, 2]  # HHVV -> HVHV
 
     def test_flip_out_of_range_rejected(self, mesh44, pm_kh):
         problem = RoutingProblem(
             mesh44, pm_kh, [Communication((0, 0), (2, 2), 500.0)]
         )
         state = RoutingState(problem, ["HVHV"])
-        with pytest.raises(InvalidParameterError):
-            state.flip_links(0, 3)
+        assert state.flip_pos(0) == [0, 1, 2]  # last move has no successor
 
-    def test_apply_flip_keeps_path_valid(self, mesh44, pm_kh):
+    def test_commit_flip_keeps_path_valid(self, mesh44, pm_kh):
         problem = RoutingProblem(
             mesh44, pm_kh, [Communication((0, 3), (3, 0), 700.0)]
         )
         state = RoutingState(problem, ["HVHVHV"[:6]])
-        deltas, dcost = state.flip_delta(0, 0)
-        state.apply_flip(0, 0, deltas, dcost)
+        flip(state, 0, 0)
         # materialisation re-validates the Manhattan property
         path = state.paths()[0]
         assert path.src == (0, 3) and path.snk == (3, 0)
@@ -103,10 +123,8 @@ class TestFlips:
         state = RoutingState(problem, ["HVHVHV"])
         before_moves = state.snapshot()
         before_loads = state.loads.copy()
-        deltas, dcost = state.flip_delta(0, 2)
-        state.apply_flip(0, 2, deltas, dcost)
-        deltas2, dcost2 = state.flip_delta(0, 2)
-        state.apply_flip(0, 2, deltas2, dcost2)
+        flip(state, 0, 2)
+        flip(state, 0, 2)
         assert state.snapshot() == before_moves
         np.testing.assert_allclose(state.loads, before_loads, atol=1e-9)
 
@@ -116,12 +134,10 @@ class TestFlips:
         movable = state.mutable_comms()
         for _ in range(40):
             ci = movable[int(rng.integers(len(movable)))]
-            pos = flip_positions(state.moves[ci])
+            pos = state.flip_pos(ci)
             if not pos:
                 continue
-            j = pos[int(rng.integers(len(pos)))]
-            deltas, dcost = state.flip_delta(ci, j)
-            state.apply_flip(ci, j, deltas, dcost)
+            flip(state, ci, pos[int(rng.integers(len(pos)))])
         drift = abs(state.cost - state.recompute_cost())
         assert drift <= 1e-6 * max(1.0, abs(state.cost))
 
@@ -133,11 +149,10 @@ class TestResample:
         ci = state.mutable_comms()[0]
         original = "".join(state.moves[ci])
         new_mv = random_problem.dag(ci).random_moves(rng)
-        new_links, deltas, dcost = state.resample_delta(ci, new_mv)
-        state.apply_resample(ci, new_mv, new_links, deltas, dcost)
+        resample(state, ci, new_mv)
         assert "".join(state.moves[ci]) == new_mv
-        back_links, back_deltas, back_dcost = state.resample_delta(ci, original)
-        state.apply_resample(ci, original, back_links, back_deltas, back_dcost)
+        assert state.flip_pos(ci) == flip_positions(new_mv)
+        resample(state, ci, original)
         assert state.cost == pytest.approx(state.recompute_cost())
 
     def test_to_routing_is_consistent(self, random_problem):
@@ -189,8 +204,7 @@ class TestHelpers:
         ci = state.mutable_comms()[0]
         new_mv = random_problem.dag(ci).random_moves(rng)
         if new_mv != snap[ci]:
-            nl, dl, dc = state.resample_delta(ci, new_mv)
-            state.apply_resample(ci, new_mv, nl, dl, dc)
+            resample(state, ci, new_mv)
         state.restore(snap)
         assert state.snapshot() == snap
         assert state.cost == pytest.approx(cost0)
@@ -216,12 +230,10 @@ def test_property_random_flip_walk_stays_consistent(seed, n_flips):
         return
     for _ in range(n_flips):
         ci = movable[int(rng.integers(len(movable)))]
-        pos = flip_positions(state.moves[ci])
+        pos = state.flip_pos(ci)
         if not pos:
             continue
-        j = pos[int(rng.integers(len(pos)))]
-        deltas, dcost = state.flip_delta(ci, j)
-        state.apply_flip(ci, j, deltas, dcost)
+        flip(state, ci, pos[int(rng.integers(len(pos)))])
     # 1) every path is still a Manhattan path of its communication
     routing = state.to_routing()  # construction re-validates
     # 2) loads equal the routing's loads

@@ -5,9 +5,9 @@ equivalences, each fuzzed here over random instance batches (mixed mesh
 shapes, fault masks, derated profiles, discrete and continuous power
 models):
 
-* :class:`~repro.mesh.kernel.MultiProblemKernel` link enumeration /
-  load accumulation == per-instance :class:`FlatRoutingKernel`;
-* stacked graded totals, strict total powers, validity bits and full
+* :meth:`~repro.mesh.kernel.MultiProblemKernel.loads_from_routings`
+  load accumulation == per-instance :meth:`Routing.link_loads`;
+* stacked strict total powers, validity bits and full
   :class:`~repro.core.evaluate.RoutingReport` records == the
   per-instance reference, hex-exactly — including through NumPy's
   pairwise-summation regime (instances with > 128 links);
@@ -28,8 +28,10 @@ from hypothesis import strategies as st
 
 from repro import Communication, Mesh, PowerModel, RoutingProblem
 from repro.core.evaluate import evaluate_routing
+from repro.core.routing import Routing
 from repro.heuristics.base import get_heuristic
 from repro.heuristics.batch_eval import DeferredEval, evaluate_deferred
+from repro.mesh.paths import Path
 from repro.mesh.kernel import (
     MultiProblemKernel,
     _row_sums,
@@ -105,10 +107,13 @@ def _random_batch(seed: int, b: int, hot: bool = False):
     return problems, rng
 
 
-def _random_moves(problem: RoutingProblem, rng: np.random.Generator):
-    return [
-        problem.dag(i).random_moves(rng) for i in range(problem.num_comms)
+def _random_routing(problem: RoutingProblem, rng: np.random.Generator):
+    """A single-path routing with a uniformly random path per comm."""
+    paths = [
+        Path(problem.mesh, c.src, c.snk, problem.dag(i).random_moves(rng))
+        for i, c in enumerate(problem.comms)
     ]
+    return Routing.single_path(problem, paths)
 
 
 def _hex(x: float) -> str:
@@ -118,44 +123,17 @@ def _hex(x: float) -> str:
 class TestMultiProblemKernel:
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10**6), b=st.integers(2, 5))
-    def test_links_loads_match_per_instance(self, seed, b):
-        problems, rng = _random_batch(seed, b)
-        mpk = MultiProblemKernel(problems)
-        moves = [_random_moves(p, rng) for p in problems]
-        vmask = mpk.stack_vmasks(moves)
-        flat_links = mpk.links(vmask)
-        flat_loads = mpk.loads(vmask)
-        for i, problem in enumerate(problems):
-            k = problem.kernel()
-            vm = k.routing_vmask(moves[i])
-            ref_links = k.links(vm)
-            lo, hi = mpk.hop_offsets[i], mpk.hop_offsets[i + 1]
-            assert np.array_equal(
-                flat_links[lo:hi] - mpk.link_offsets[i], ref_links
-            )
-            llo, lhi = mpk.link_offsets[i], mpk.link_offsets[i + 1]
-            ref_loads = k.loads(vm)
-            assert np.array_equal(flat_loads[llo:lhi], ref_loads)
-
-    @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(0, 10**6), b=st.integers(2, 5))
     def test_graded_strict_valid_match_per_instance(self, seed, b):
         problems, rng = _random_batch(seed, b)
         mpk = MultiProblemKernel(problems)
-        moves = [_random_moves(p, rng) for p in problems]
-        loads_flat = mpk.loads(mpk.stack_vmasks(moves))
-        graded = mpk.graded_totals(loads_flat)
+        routings = [_random_routing(p, rng) for p in problems]
+        loads_flat = mpk.loads_from_routings(routings)
         strict = mpk.total_powers(loads_flat)
         valid = mpk.valids(loads_flat)
         for i, problem in enumerate(problems):
             mesh, power = problem.mesh, problem.power
             lo, hi = mpk.link_offsets[i], mpk.link_offsets[i + 1]
             loads = loads_flat[lo:hi].copy()
-            assert _hex(graded[i]) == _hex(
-                power.total_power_graded(
-                    loads, scale=mesh.link_scale, dead=mesh.dead_mask
-                )
-            )
             assert _hex(strict[i]) == _hex(
                 power.total_power(
                     loads, scale=mesh.link_scale, dead=mesh.dead_mask

@@ -357,3 +357,12 @@ class TestNocSweepCli:
     def test_user_errors_exit_2(self, argv, capsys):
         assert main(argv) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_unbounded_deterministic_rate_exits_2(self, tmp_path, capsys):
+        path = self._routing_file(tmp_path)
+        argv = ["noc", "sweep", path, "--injection", "deterministic",
+                "--fractions", "1e9", "--cycles", "100"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "rate <= packet size" in err

@@ -9,6 +9,7 @@ from repro import Communication, Mesh, PowerModel, RoutingProblem
 from repro.core.routing import Routing
 from repro.heuristics import get_heuristic
 from repro.noc import (
+    ArrayFlitSimulator,
     BernoulliInjection,
     BurstInjection,
     DeterministicInjection,
@@ -98,10 +99,18 @@ class TestInjectionProcesses:
 
     def test_parameter_validation(self):
         rng = np.random.default_rng(4)
+        # deterministic injection: at most one packet per cycle, like
+        # Bernoulli; larger or non-finite rates would loop without end
+        for rate in (-0.1, float("nan"), float("inf"), 9.0, 1e9):
+            with pytest.raises(InvalidParameterError):
+                DeterministicInjection(rate, 8)
+        proc = DeterministicInjection(8.0, 8)
+        assert [proc.packets() for _ in range(3)] == [1, 1, 1]
+        for rate in (9.0, float("nan")):
+            with pytest.raises(InvalidParameterError):
+                BernoulliInjection(rate, 8, rng)
         with pytest.raises(InvalidParameterError):
-            DeterministicInjection(-0.1, 8)
-        with pytest.raises(InvalidParameterError):
-            BernoulliInjection(9.0, 8, rng)  # p > 1
+            BurstInjection(float("nan"), 8, rng)
         with pytest.raises(InvalidParameterError):
             BurstInjection(0.2, 8, rng, duty=0.0)
         with pytest.raises(InvalidParameterError):
@@ -136,8 +145,10 @@ class TestStochasticSimulation:
 
     def test_rate_scale_validation(self, pm_kh):
         routing = small_routing(pm_kh)
-        with pytest.raises(InvalidParameterError):
-            FlitSimulator(routing, rate_scale=0.0)
+        for engine in (FlitSimulator, ArrayFlitSimulator):
+            for scale in (0.0, float("nan"), float("inf")):
+                with pytest.raises(InvalidParameterError, match="rate_scale"):
+                    engine(routing, rate_scale=scale)
 
     def test_deterministic_seeded_runs_identical(self, pm_kh):
         routing = small_routing(pm_kh)
@@ -194,8 +205,9 @@ class TestLatencySweep:
         routing = small_routing(pm_kh)
         with pytest.raises(InvalidParameterError):
             latency_sweep(routing, [])
-        with pytest.raises(InvalidParameterError):
-            latency_sweep(routing, [0.0])
+        for frac in (0.0, float("nan"), float("inf")):
+            with pytest.raises(InvalidParameterError, match="fractions"):
+                latency_sweep(routing, [frac])
         with pytest.raises(InvalidParameterError):
             saturation_fraction([])
 

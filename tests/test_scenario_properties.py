@@ -5,8 +5,8 @@ Three families of properties:
 * the flat kernel's ``links`` / ``loads`` agree with a scalar per-path
   recomputation through :func:`repro.mesh.moves.moves_to_links` on random
   meshes, endpoints and move strings;
-* ``dead_hop_mask`` / ``uses_dead_link`` agree with the scalar definition
-  under random fault masks;
+* the kernel's fault-threaded ``graded_powers`` agrees with the scalar
+  graded power of those loads under random fault masks;
 * the rectangle-reachability heuristics (SG, IG, PR) never route over a
   masked link when every communication still has a live Manhattan path.
 """
@@ -72,15 +72,13 @@ def test_masked_kernel_matches_scalar_recomputation(seed, p, q, n, fault_prob):
             scalar_loads[lid] += c.rate
     assert np.allclose(kernel.loads(vmask), scalar_loads, rtol=0, atol=1e-9)
 
-    # dead-hop detection: scalar definition
-    if mesh.link_mask is None:
-        assert not kernel.dead_hop_mask(vmask).any()
-    else:
-        scalar_dead = np.array(
-            [not mesh.link_mask[lid] for lid in scalar_links]
-        )
-        assert np.array_equal(kernel.dead_hop_mask(vmask), scalar_dead)
-        assert kernel.uses_dead_link(vmask) == scalar_dead.any()
+    # fault-threaded grading: scalar graded power of the scalar loads
+    power = PowerModel.kim_horowitz()
+    scalar_graded = power.total_power_graded(
+        scalar_loads, scale=mesh.link_scale, dead=mesh.dead_mask
+    )
+    graded = kernel.graded_powers(power, vmask)
+    assert graded == pytest.approx(scalar_graded, rel=1e-12)
 
     # population form agrees with the flat form row by row
     pop = kernel.population_vmask([moves, moves])
@@ -88,8 +86,7 @@ def test_masked_kernel_matches_scalar_recomputation(seed, p, q, n, fault_prob):
     assert np.array_equal(kernel.links(pop)[1], scalar_links)
     assert np.allclose(kernel.loads(pop)[0], scalar_loads, rtol=0, atol=1e-9)
     assert np.array_equal(
-        kernel.uses_dead_link(pop),
-        np.array([kernel.uses_dead_link(vmask)] * 2),
+        kernel.graded_powers(power, pop), np.array([graded] * 2)
     )
 
 

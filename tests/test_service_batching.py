@@ -17,7 +17,7 @@ import threading
 import pytest
 
 from repro import Communication, RoutingProblem
-from repro.io.jsonio import ParseCache, problem_from_dict
+from repro.io.jsonio import PARSE_CACHE_SIZE, ParseCache, problem_from_dict
 from repro.native import native_module
 from repro.service import (
     FaultPlan,
@@ -72,6 +72,20 @@ class TestParseCache:
             with pytest.raises(ReproError):
                 problem_from_dict({"format": "bogus"}, cache)
         assert cache.hits == 0
+
+    def test_lru_eviction_keeps_recent_hits(self):
+        cache = ParseCache()
+        cache.get("k", 0, str)
+        for i in range(1, PARSE_CACHE_SIZE + 10):
+            cache.get("k", i, str)
+            cache.get("k", 0, str)  # keep entry 0 the most recently used
+        assert len(cache) == PARSE_CACHE_SIZE
+        assert cache.evictions == 10
+        hits, misses = cache.hits, cache.misses
+        cache.get("k", 0, str)
+        assert cache.hits == hits + 1
+        cache.get("k", 1, str)  # the oldest entry, evicted first
+        assert cache.misses == misses + 1
 
     def test_unjsonable_document_falls_through(self):
         cache = ParseCache()

@@ -183,6 +183,14 @@ class TestLiveFleet:
         out, _ = proc.communicate(timeout=30)
         assert proc.returncode == 0, out
 
+    def test_sigterm_during_startup_drains_cleanly(self):
+        # the listening line precedes shard startup: a SIGTERM sent at
+        # once reaches shards before their event loops are up
+        proc, _ = _spawn_fleet()
+        proc.send_signal(signal.SIGTERM)
+        out, _ = proc.communicate(timeout=30)
+        assert proc.returncode == 0, out
+
     def test_unix_socket_fleet(self, tmp_path):
         path = str(tmp_path / "repro.sock")
         env = dict(os.environ, PYTHONPATH="src")

@@ -249,7 +249,8 @@ class TestCli:
         save_routing(Routing.xy(prob), path)
         code = main(
             [
-                "latency",
+                "noc",
+                "sweep",
                 str(path),
                 "--fractions",
                 "0.5,1.0",
