@@ -4,7 +4,7 @@ The paper reports 24 ms (XYI) and 38 ms (PR) per instance on 2011
 hardware with compiled code; this bench times each heuristic on a
 representative instance (8×8 chip, 40 mixed communications) using
 pytest-benchmark's proper statistics.  Absolute numbers differ (pure
-Python), the *ordering* — XY/SG cheap, TB/PR mid, IG/XYI the heaviest —
+Python), the *ordering* — XY/SG cheap, TB/IG/PR mid, XYI the heaviest —
 is the reproducible signal.
 """
 

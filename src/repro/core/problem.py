@@ -150,8 +150,9 @@ class RoutingProblem:
 
         DAGs are pooled by ``(src, snk)``: communications with equal
         endpoints — necessarily equal displacement ``(Δu, Δv)`` — share one
-        :class:`CommDag` object and therefore one set of cached band arrays
-        (:meth:`~repro.mesh.paths.CommDag.band_arrays`).  Random workloads
+        :class:`CommDag` object and therefore one set of cached band tables
+        (:meth:`~repro.mesh.paths.CommDag.link_arrays`,
+        :meth:`~repro.mesh.paths.CommDag.band_bits`).  Random workloads
         with many communications on a small mesh duplicate endpoints
         frequently, so the pool keeps the per-instance geometry cost
         sub-linear in the number of communications.

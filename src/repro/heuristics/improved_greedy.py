@@ -11,6 +11,15 @@ for every remaining band between the candidate's head and the sink, the
 power of the least-loaded reachable band link if the communication were
 added to it.  The candidate with the smaller bound wins; ties fall back to
 SG's closest-to-the-diagonal rule.
+
+A walk only loads the band it is leaving, so every band a look-ahead reads
+keeps the loads it had when the walk began.  Each communication therefore
+grades all its DAG links once and tabulates the band minima for every
+progress node in one suffix-minimum pass (:func:`lookahead_table`); a bound
+is the candidate's graded power plus its head's table row, summed left to
+right.  The same table serves pristine, faulty and derated meshes: graded
+power is monotone in load, so the least graded power of a band is the
+graded power of its least load.
 """
 
 from __future__ import annotations
@@ -27,65 +36,33 @@ from repro.mesh.moves import MOVE_H, MOVE_V
 from repro.mesh.paths import CommDag, Path
 
 
-class _BandIndex:
-    """Vectorised view of a CommDag's bands for fast sub-rectangle minima."""
+def lookahead_table(
+    dag: CommDag, fl: np.ndarray, live: np.ndarray | None
+) -> np.ndarray:
+    """Band minima of one communication's graded link powers, per node.
 
-    __slots__ = ("lids", "xs", "ys")
+    ``fl`` grades every DAG edge in :meth:`CommDag.link_arrays` order.
+    Entry ``[x, y, t]`` is the least ``fl`` among the band-``t`` edges
+    whose tail has progressed at least ``(x, y)`` in both coordinates
+    (``inf`` where there is none, in particular for ``t < x + y``): a 2-D
+    suffix minimum over the ``(Δu+1) × (Δv+1)`` progress grid.  With
+    ``live`` (per-edge alive flags, same order) an entry takes the least
+    live edge when there is one and falls back to every edge otherwise.
+    """
+    _, xs, ys = dag.link_arrays()
+    shape = (dag.du + 1, dag.dv + 1, dag.length)
 
-    def __init__(self, dag: CommDag):
-        # consume the DAG's cached band arrays (shared through the problem's
-        # DAG pool) instead of re-walking edge_tail per link
-        lids_l, xs_l, ys_l, _kv = dag.band_arrays()
-        self.lids: List[np.ndarray] = lids_l
-        self.xs: List[np.ndarray] = xs_l
-        self.ys: List[np.ndarray] = ys_l
+    def suffix_min(vals: np.ndarray) -> np.ndarray:
+        grid = np.full(shape, np.inf)
+        np.minimum.at(grid, (xs, ys, xs + ys), vals)
+        grid = np.minimum.accumulate(grid[::-1], axis=0)[::-1]
+        return np.minimum.accumulate(grid[:, ::-1], axis=1)[:, ::-1]
 
-    def min_load_after(self, loads: np.ndarray, t: int, x0: int, y0: int) -> float:
-        """Least load among band-``t`` links reachable from node ``(x0, y0)``.
-
-        Reachable means the link's tail has progressed at least ``(x0, y0)``
-        in both coordinates.
-        """
-        mask = (self.xs[t] >= x0) & (self.ys[t] >= y0)
-        return float(loads[self.lids[t][mask]].min())
-
-    def min_power_after(
-        self,
-        loads: np.ndarray,
-        t: int,
-        x0: int,
-        y0: int,
-        rate: float,
-        power,
-        scale: np.ndarray | None,
-        alive: np.ndarray | None,
-        dead: np.ndarray | None,
-    ) -> float:
-        """Scenario-aware band bound: least (scaled) graded power among the
-        reachable band-``t`` links if the communication were added to one.
-
-        Dead links are excluded when any live reachable link remains; when
-        none does (a blocked communication) the surviving dead links are
-        graded with the ``dead`` coefficients, so they draw the
-        zero-bandwidth penalty instead of looking cheap.  The profile is
-        passed through ``link_power_graded``'s keywords, matching the
-        objective exactly (in particular the overload penalty stays
-        unscaled).  On a pristine homogeneous mesh this equals
-        ``link_power_graded(min_load_after(...) + rate)`` (the graded power
-        is monotone in load), so the cheaper scalar path is used there.
-        """
-        mask = (self.xs[t] >= x0) & (self.ys[t] >= y0)
-        if alive is not None:
-            live = mask & alive[self.lids[t]]
-            if live.any():
-                mask = live
-        lids = self.lids[t][mask]
-        vals = power.link_power_graded(
-            loads[lids] + rate,
-            scale=None if scale is None else scale[lids],
-            dead=None if dead is None else dead[lids],
-        )
-        return float(vals.min())
+    table = suffix_min(fl)
+    if live is not None:
+        live_table = suffix_min(np.where(live, fl, np.inf))
+        table = np.where(live_table < np.inf, live_table, table)
+    return table
 
 
 @register_heuristic("IG")
@@ -102,7 +79,6 @@ class ImprovedGreedy(Heuristic):
         alive = mesh.link_mask  # None on pristine meshes
         scale = mesh.link_scale
         dead = mesh.dead_mask
-        profiled = alive is not None or scale is not None
         loads = np.zeros(mesh.num_links, dtype=np.float64)
 
         # virtual pre-routing: δ_i / |band| on every band link (Figure 3);
@@ -113,28 +89,19 @@ class ImprovedGreedy(Heuristic):
         pre_shares: List[List[float]] = []
         for i in range(n):
             dag = problem.dag(i)
+            bands = [np.asarray(b, dtype=np.int64) for b in dag.bands()]
             if alive is not None and dag.has_live_path():
-                lids_l = dag.band_arrays()[0]
-                bands = [b[alive[b]] for b in lids_l]
-            else:
-                bands = [np.asarray(b, dtype=np.int64) for b in dag.bands()]
+                bands = [b[alive[b]] for b in bands]
             share = [problem.comms[i].rate / len(b) for b in bands]
             for b, s in zip(bands, share):
                 loads[b] += s
             pre_bands.append(bands)
             pre_shares.append(share)
 
-        scratch = np.empty(1, dtype=np.float64)
-
-        def link_power_after(load: float, rate: float) -> float:
-            scratch[0] = load + rate
-            return float(power.link_power_graded(scratch)[0])
-
         paths: List[Path | None] = [None] * n
         for i in problem.order_by(self.ordering):
             comm = problem.comms[i]
             dag = problem.dag(i)
-            index = _BandIndex(dag)
             # remove this communication's own pre-routing (clamping the
             # numerical dust that uniform shares can leave behind)
             for b, s in zip(pre_bands[i], pre_shares[i]):
@@ -144,6 +111,11 @@ class ImprovedGreedy(Heuristic):
             bwd = None
             if alive is not None and dag.has_live_path():
                 bwd = dag.live_reachability()[1]
+            # the walk only loads the band it is leaving, so every band
+            # a look-ahead reads keeps the loads it has now: grade each
+            # DAG link once and tabulate the band minima per node (built
+            # on the first two-way choice)
+            table = None
             x = y = 0
             moves: List[str] = []
             while (x, y) != (du, dv):
@@ -161,32 +133,28 @@ class ImprovedGreedy(Heuristic):
                 if len(cands) == 1:
                     move, lid, x2, y2 = cands[0]
                 else:
+                    if table is None:
+                        lids = dag.link_arrays()[0]
+                        # grade through the profile keywords so the bound
+                        # matches the objective (scale applies to the base
+                        # power only, never the overload penalty; a dead
+                        # link draws the zero-bandwidth penalty)
+                        fl = power.link_power_graded(
+                            loads[lids] + rate,
+                            scale=None if scale is None else scale[lids],
+                            dead=None if dead is None else dead[lids],
+                        )
+                        graded = dict(zip(lids.tolist(), fl.tolist()))
+                        table = lookahead_table(
+                            dag, fl, None if alive is None else alive[lids]
+                        )
                     scored = []
                     for move, lid, x2, y2 in cands:
-                        if profiled:
-                            # grade through the profile keywords so the
-                            # bound matches the objective (scale applies to
-                            # the base power only, never the overload
-                            # penalty; a dead candidate of a blocked comm
-                            # draws the zero-bandwidth penalty)
-                            scratch[0] = loads[lid] + rate
-                            bound = float(
-                                power.link_power_graded(
-                                    scratch,
-                                    scale=None if scale is None else scale[lid],
-                                    dead=None if dead is None else dead[lid],
-                                )[0]
-                            )
-                            for t in range(x2 + y2, du + dv):
-                                bound += index.min_power_after(
-                                    loads, t, x2, y2, rate, power,
-                                    scale, alive, dead,
-                                )
-                        else:
-                            bound = link_power_after(loads[lid], rate)
-                            for t in range(x2 + y2, du + dv):
-                                m = index.min_load_after(loads, t, x2, y2)
-                                bound += link_power_after(m, rate)
+                        # left to right in Python floats: np.sum adds
+                        # pairwise and would round differently
+                        bound = graded[lid]
+                        for m in table[x2, y2, x2 + y2 :].tolist():
+                            bound += m
                         scored.append((bound, move, lid, x2, y2))
                     b_v, b_h = scored[0][0], scored[1][0]
                     if b_v < b_h:

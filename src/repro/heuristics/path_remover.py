@@ -8,8 +8,15 @@ most loaded link is selected and the largest communication that can afford
 to lose it gives it up; the communication's remaining spread is
 re-balanced, and the *path cleaning* cascade removes every link of its
 rectangle that no longer lies on any surviving source→sink path (the
-generalisation of the paper's cascade-deletion rules, implemented as a
-forward/backward reachability sweep over the communication's DAG).
+generalisation of the paper's cascade-deletion rules).
+
+The allowed links of a communication are two node bitmasks of its DAG's
+progress grid (the tails of its allowed vertical and horizontal edges), so
+the cleaning cascade is a forward and a backward shift-or reachability
+fixpoint on two Python ints
+(:func:`~repro.mesh.paths.node_reachability`); an edge survives when its
+tail is reachable from the source and its head reaches the sink.  Loads
+are then re-balanced band by band, only in the bands the cascade touched.
 
 Invariants maintained (and exercised by the test suite):
 
@@ -27,30 +34,25 @@ on (band counts only shrink, so unremovability is permanent).
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import List, Set
 
 import numpy as np
 
 from repro.core.problem import RoutingProblem
 from repro.heuristics.base import Heuristic, register_heuristic
-from repro.mesh.paths import CommDag, Path, band_reachability
+from repro.mesh.moves import MOVE_H, MOVE_V
+from repro.mesh.paths import CommDag, Path, node_reachability
 
 
 class _CommState:
-    """Per-communication spread state: allowed band links and their shares."""
+    """Per-communication spread state: allowed band links and their shares.
 
-    __slots__ = (
-        "dag",
-        "rate",
-        "bands",
-        "tails_x",
-        "tails_y",
-        "kinds",
-        "allowed",
-        "counts",
-        "pos",
-        "excess",
-    )
+    The allowed links are two node bitmasks of the DAG's progress grid
+    (:func:`~repro.mesh.paths.node_reachability`): ``av`` holds the tails
+    of the allowed vertical edges, ``ah`` those of the horizontal ones.
+    """
+
+    __slots__ = ("dag", "rate", "rows", "pos", "av", "ah", "counts", "excess")
 
     def __init__(
         self,
@@ -61,36 +63,23 @@ class _CommState:
     ):
         self.dag = dag
         self.rate = rate
-        # band geometry (link ids, tail coordinates, edge kinds, positions)
-        # is immutable and cached on the — possibly pooled — DAG; only the
-        # `allowed` masks and counts are per-communication state
-        lids_l, xs_l, ys_l, kv_l = dag.band_arrays()
-        self.bands: List[np.ndarray] = list(lids_l)
-        self.tails_x: List[np.ndarray] = list(xs_l)
-        self.tails_y: List[np.ndarray] = list(ys_l)
-        self.kinds: List[np.ndarray] = list(kv_l)  # True where vertical
-        self.pos: Dict[int, Tuple[int, int]] = dag.band_pos()
+        # band geometry (link ids, tail bits, edge kinds) is immutable and
+        # cached on the — possibly pooled — DAG; only the masks and counts
+        # are per-communication state
+        self.rows, self.pos = dag.band_bits()
         # on a faulty mesh, a communication with a surviving live path
         # spreads over its live links only (cleaned so every remaining
         # link is on some fully-live path); blocked communications fall
         # back to the full spread and end up reported invalid
         use_alive = alive is not None and dag.has_live_path()
-        self.allowed = [
-            (alive[lids].copy() if use_alive else np.ones(len(lids), dtype=bool))
-            for lids in self.bands
-        ]
-        self.counts: List[int] = []
+        self.av, self.ah = dag.node_masks(alive if use_alive else None)
         if use_alive:
             self._clean()
-        for t, lids in enumerate(self.bands):
-            if use_alive:
-                a = self.allowed[t]
-                cnt = int(a.sum())
-                loads[lids[a]] += rate / cnt
-            else:
-                cnt = len(lids)
-                loads[lids] += rate / cnt
-            self.counts.append(cnt)
+        self.counts: List[int] = []
+        for row in self.rows:
+            lids = [lid for lid, bit, v in row if (self.av if v else self.ah) & bit]
+            loads[lids] += rate / len(lids)
+            self.counts.append(len(lids))
         self.excess = sum(self.counts) - len(self.counts)
 
     @property
@@ -100,45 +89,63 @@ class _CommState:
 
     def band_count_of(self, lid: int) -> int:
         """Number of allowed links in the band containing ``lid`` (0 if gone)."""
-        t, j = self.pos[lid]
-        return self.counts[t] if self.allowed[t][j] else 0
+        t, bit, v = self.pos[lid]
+        return self.counts[t] if (self.av if v else self.ah) & bit else 0
 
     def allows(self, lid: int) -> bool:
-        t_j = self.pos.get(lid)
-        if t_j is None:
+        t_bit_v = self.pos.get(lid)
+        if t_bit_v is None:
             return False
-        t, j = t_j
-        return bool(self.allowed[t][j])
+        _, bit, v = t_bit_v
+        return bool((self.av if v else self.ah) & bit)
 
     # ------------------------------------------------------------------
     def remove_and_clean(self, lid: int, loads: np.ndarray) -> List[int]:
         """Give up ``lid`` (band count must be ≥ 2), cascade-clean, update loads.
 
         Returns every link id this communication stopped using (the target
-        plus the cleaning cascade).
+        plus the cleaning cascade), band by band.
         """
-        t0, j0 = self.pos[lid]
-        if not self.allowed[t0][j0]:
+        t0, bit0, v0 = self.pos[lid]
+        if not (self.av if v0 else self.ah) & bit0:
             raise AssertionError(f"link {lid} already removed from this comm")
         if self.counts[t0] < 2:
             raise AssertionError(
                 "removing the last band link would break the last path"
             )
-        old_allowed = [a.copy() for a in self.allowed]
-        self.allowed[t0][j0] = False
+        old_av, old_ah = self.av, self.ah
+        if v0:
+            self.av &= ~bit0
+        else:
+            self.ah &= ~bit0
         self._clean()
+        gone = (old_av & ~self.av) | (old_ah & ~self.ah)
+        w = self.dag.dv + 1
+        bands = set()
+        while gone:
+            i = gone.bit_length() - 1
+            gone ^= 1 << i
+            bands.add(i // w + i % w)  # a tail (x, y) lies on band x + y
         removed: List[int] = []
-        for t, (old_a, new_a) in enumerate(zip(old_allowed, self.allowed)):
-            if old_a.sum() == new_a.sum():
-                continue
-            n_old = int(old_a.sum())
-            n_new = int(new_a.sum())
+        rate = self.rate
+        for t in sorted(bands):
+            kept: List[int] = []
+            lost: List[int] = []
+            for link, bit, v in self.rows[t]:
+                if (self.av if v else self.ah) & bit:
+                    kept.append(link)
+                elif (old_av if v else old_ah) & bit:
+                    lost.append(link)
+            n_old = self.counts[t]
+            n_new = len(kept)
             # re-balance: survivors go from rate/n_old to rate/n_new
-            loads[self.bands[t][new_a]] += self.rate / n_new - self.rate / n_old
-            gone = old_a & ~new_a
-            lids_gone = self.bands[t][gone]
-            loads[lids_gone] = np.maximum(loads[lids_gone] - self.rate / n_old, 0.0)
-            removed.extend(int(x) for x in lids_gone)
+            delta = rate / n_new - rate / n_old
+            for link in kept:
+                loads[link] += delta
+            share = rate / n_old
+            for link in lost:
+                loads[link] = max(loads[link] - share, 0.0)
+            removed.extend(lost)
             self.excess -= n_old - n_new
             self.counts[t] = n_new
         return removed
@@ -146,27 +153,26 @@ class _CommState:
     def _clean(self) -> None:
         """Drop every allowed edge not on a surviving src→snk path."""
         du, dv = self.dag.du, self.dag.dv
-        fwd, bwd = band_reachability(
-            du, dv, self.tails_x, self.tails_y, self.kinds, self.allowed
-        )
-        if not fwd[du, dv]:
+        fwd, bwd = node_reachability(du, dv, self.av, self.ah)
+        if not bwd & 1:
             raise AssertionError("cleaning disconnected src from snk")
-        for t in range(len(self.bands)):
-            a = self.allowed[t]
-            xs, ys, kv = self.tails_x[t], self.tails_y[t], self.kinds[t]
-            hx = np.where(kv, xs + 1, xs)
-            hy = np.where(kv, ys, ys + 1)
-            keep = a & fwd[xs, ys] & bwd[hx, hy]
-            self.allowed[t] = keep
+        self.av &= fwd & (bwd >> (dv + 1))
+        self.ah &= fwd & (bwd >> 1)
 
     def extract_moves(self) -> str:
         """The unique remaining path as a move string (requires finished)."""
         if not self.finished:
             raise AssertionError("communication still has multiple paths")
+        w = self.dag.dv + 1
+        node = 1
         out = []
-        for t in range(len(self.bands)):
-            j = int(np.nonzero(self.allowed[t])[0][0])
-            out.append("V" if self.kinds[t][j] else "H")
+        for _ in range(self.dag.length):
+            if self.av & node:
+                out.append(MOVE_V)
+                node <<= w
+            else:
+                out.append(MOVE_H)
+                node <<= 1
         return "".join(out)
 
 

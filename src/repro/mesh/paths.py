@@ -60,43 +60,40 @@ def manhattan_path_count(p: int, q: int) -> int:
     return comb(p + q - 2, p - 1)
 
 
-def band_reachability(
-    du: int,
-    dv: int,
-    xs_l: Sequence[np.ndarray],
-    ys_l: Sequence[np.ndarray],
-    kv_l: Sequence[np.ndarray],
-    ok_l: Sequence[np.ndarray],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Progress-node reachability over the permitted edges of a band DAG.
+def node_reachability(du: int, dv: int, av: int, ah: int) -> Tuple[int, int]:
+    """Progress-node reachability over the permitted edges of a DAG.
 
-    ``xs_l / ys_l / kv_l`` are a :meth:`CommDag.band_arrays`-shaped
-    geometry (per band: tail progress coordinates and a vertical-edge
-    mask) and ``ok_l[t]`` marks the edges of band ``t`` that may be used.
-    Returns writable ``(Δu+1) × (Δv+1)`` boolean grids ``(fwd, bwd)``:
-    ``fwd[x, y]`` marks nodes reachable from ``(0, 0)`` and ``bwd[x, y]``
-    nodes from which ``(Δu, Δv)`` is reachable, both through permitted
-    edges only.  This is the single sweep behind
-    :meth:`CommDag.live_reachability` (mesh fault masks) and the PR
-    heuristic's path-cleaning cascade (per-communication allowed masks).
+    Nodes of the ``(Δu+1) × (Δv+1)`` progress grid are bits of a Python
+    int: node ``(x, y)`` is bit ``x*(Δv+1) + y``, so a vertical edge moves
+    a bit up by ``Δv+1`` and a horizontal one by 1.  ``av`` / ``ah`` hold
+    the tail bits of the permitted vertical / horizontal edges (see
+    :meth:`CommDag.node_masks`).  Returns ``(fwd, bwd)``: the nodes
+    reachable from ``(0, 0)`` and the nodes from which ``(Δu, Δv)`` is
+    reachable, each the fixpoint of a shift-or sweep.  This is the single
+    sweep behind :meth:`CommDag.live_reachability` (mesh fault masks) and
+    the PR heuristic's path-cleaning cascade (per-communication allowed
+    links).
     """
-    fwd = np.zeros((du + 1, dv + 1), dtype=bool)
-    fwd[0, 0] = True
-    for t in range(len(ok_l)):
-        xs, ys, kv = xs_l[t], ys_l[t], kv_l[t]
-        ok = ok_l[t] & fwd[xs, ys]
-        hx = np.where(kv, xs + 1, xs)
-        hy = np.where(kv, ys, ys + 1)
-        fwd[hx[ok], hy[ok]] = True
-    bwd = np.zeros((du + 1, dv + 1), dtype=bool)
-    bwd[du, dv] = True
-    for t in range(len(ok_l) - 1, -1, -1):
-        xs, ys, kv = xs_l[t], ys_l[t], kv_l[t]
-        hx = np.where(kv, xs + 1, xs)
-        hy = np.where(kv, ys, ys + 1)
-        ok = ok_l[t] & bwd[hx, hy]
-        bwd[xs[ok], ys[ok]] = True
+    w = dv + 1
+    fwd, prev = 1, 0
+    while fwd != prev:
+        prev = fwd
+        fwd |= ((fwd & av) << w) | ((fwd & ah) << 1)
+    bwd, prev = 1 << (du * w + dv), 0
+    while bwd != prev:
+        prev = bwd
+        bwd |= ((bwd >> w) & av) | ((bwd >> 1) & ah)
     return fwd, bwd
+
+
+def _bit_grid(mask: int, du: int, dv: int) -> np.ndarray:
+    """Read-only ``(du+1) × (dv+1)`` boolean grid of a node bitmask."""
+    n = (du + 1) * (dv + 1)
+    raw = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    grid = np.unpackbits(raw, count=n, bitorder="little").astype(bool)
+    grid = grid.reshape(du + 1, dv + 1)
+    grid.setflags(write=False)
+    return grid
 
 
 class Path:
@@ -262,7 +259,8 @@ class CommDag:
         "length",
         "_bands",
         "_edge_info",
-        "_band_arrays",
+        "_link_arrays",
+        "_band_bits",
         "_live",
     )
 
@@ -294,7 +292,8 @@ class CommDag:
                     band.append(lid)
                     self._edge_info[lid] = (x, y, MOVE_H)
             self._bands.append(band)
-        self._band_arrays = None
+        self._link_arrays = None
+        self._band_bits = None
         self._live = _UNSET
 
     # geometry -----------------------------------------------------------
@@ -343,56 +342,64 @@ class CommDag:
         """All bands, in order (list of lists of link ids)."""
         return self._bands
 
-    def band_arrays(
-        self,
-    ) -> Tuple[List[np.ndarray], List[np.ndarray], List[np.ndarray], List[np.ndarray]]:
-        """Vectorised band metadata ``(lids, tails_x, tails_y, vertical)``.
+    def link_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Flat read-only ``(lids, tails_x, tails_y)`` of every DAG edge.
 
-        Four parallel lists (one entry per band) of read-only arrays: the
-        band's link ids, the progress coordinates of each edge's tail node
-        and a boolean mask marking vertical edges.  Built once per DAG and
-        cached — the PR spread state and the IG band index both consume
-        this instead of re-walking :meth:`edge_tail` per link, and the
-        displacement-keyed DAG pool of
-        :class:`repro.core.problem.RoutingProblem` makes the cache shared
-        across communications with equal endpoints.
+        Band order, as :meth:`all_link_ids`; the tails are progress
+        coordinates (an edge belongs to band ``tails_x + tails_y``).  Built
+        once per DAG and cached — the IG look-ahead grades and tabulates
+        through it, and the displacement-keyed DAG pool of
+        :class:`repro.core.problem.RoutingProblem` shares the cache across
+        communications with equal endpoints.
         """
-        if self._band_arrays is None:
-            lids_l: List[np.ndarray] = []
-            xs_l: List[np.ndarray] = []
-            ys_l: List[np.ndarray] = []
-            kv_l: List[np.ndarray] = []
-            for band in self._bands:
-                lids = np.asarray(band, dtype=np.int64)
-                xs = np.empty(len(band), dtype=np.int64)
-                ys = np.empty(len(band), dtype=np.int64)
-                kv = np.empty(len(band), dtype=bool)
-                for j, lid in enumerate(band):
+        if self._link_arrays is None:
+            rows = [(lid, *self._edge_info[lid][:2]) for lid in self.all_link_ids()]
+            self._link_arrays = tuple(
+                np.array(col, dtype=np.int64) for col in zip(*rows)
+            )
+            for arr in self._link_arrays:
+                arr.setflags(write=False)
+        return self._link_arrays
+
+    def band_bits(self) -> Tuple[List[List[Tuple[int, int, bool]]], dict]:
+        """Per band, ``(lid, bit, vertical)`` of each edge, and their index.
+
+        ``bit`` is the node-bitmask value ``1 << (x*(Δv+1) + y)`` of the
+        edge's tail (see :func:`node_reachability`) and ``vertical`` tells
+        which of the two masks holds it.  The second item maps each link
+        id to ``(band, bit, vertical)``.  Cached and shared across pooled
+        communications, so consumers must treat both as read-only.
+        """
+        if self._band_bits is None:
+            w = self.dv + 1
+            rows: List[List[Tuple[int, int, bool]]] = []
+            pos = {}
+            for t, band in enumerate(self._bands):
+                row = []
+                for lid in band:
                     x, y, kind = self._edge_info[lid]
-                    xs[j], ys[j], kv[j] = x, y, kind == MOVE_V
-                for arr in (lids, xs, ys, kv):
-                    arr.setflags(write=False)
-                lids_l.append(lids)
-                xs_l.append(xs)
-                ys_l.append(ys)
-                kv_l.append(kv)
-            pos = {
-                int(lid): (t, j)
-                for t, lids in enumerate(lids_l)
-                for j, lid in enumerate(lids)
-            }
-            self._band_arrays = (lids_l, xs_l, ys_l, kv_l, pos)
-        return self._band_arrays[:4]
+                    bit, vertical = 1 << (x * w + y), kind == MOVE_V
+                    row.append((lid, bit, vertical))
+                    pos[lid] = (t, bit, vertical)
+                rows.append(row)
+            self._band_bits = (rows, pos)
+        return self._band_bits
 
-    def band_pos(self) -> dict:
-        """``{link id: (band index, index within band)}`` (cached, shared).
+    def node_masks(self, ok: np.ndarray | None = None) -> Tuple[int, int]:
+        """Tail bitmasks ``(av, ah)`` of the vertical / horizontal edges.
 
-        The inverse of :meth:`band_arrays`' link-id lists; consumers must
-        treat it as read-only (it is shared across every communication
-        pooled onto this DAG).
+        With ``ok`` (a per-mesh-link boolean array) only the edges whose
+        link it marks are included; without it every DAG edge is.
         """
-        self.band_arrays()
-        return self._band_arrays[4]
+        av = ah = 0
+        for row in self.band_bits()[0]:
+            for lid, bit, vertical in row:
+                if ok is None or ok[lid]:
+                    if vertical:
+                        av |= bit
+                    else:
+                        ah |= bit
+        return av, ah
 
     def edge_tail(self, lid: int) -> Tuple[int, int, str]:
         """``(x, y, kind)`` of the DAG edge using mesh link ``lid``.
@@ -434,18 +441,8 @@ class CommDag:
             if alive is None:
                 self._live = None
             else:
-                lids_l, xs_l, ys_l, kv_l = self.band_arrays()
-                fwd, bwd = band_reachability(
-                    self.du,
-                    self.dv,
-                    xs_l,
-                    ys_l,
-                    kv_l,
-                    [alive[lids] for lids in lids_l],
-                )
-                fwd.setflags(write=False)
-                bwd.setflags(write=False)
-                self._live = (fwd, bwd)
+                masks = node_reachability(self.du, self.dv, *self.node_masks(alive))
+                self._live = tuple(_bit_grid(m, self.du, self.dv) for m in masks)
         return self._live
 
     def has_live_path(self) -> bool:
