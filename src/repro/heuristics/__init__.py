@@ -45,7 +45,6 @@ from repro.heuristics.best import BestOf, best_of_results, PAPER_HEURISTICS
 from repro.heuristics.local_moves import (
     RoutingState,
     descend,
-    flip_positions,
     initial_moves,
 )
 from repro.heuristics.annealing import SimulatedAnnealing
@@ -73,7 +72,6 @@ __all__ = [
     "PAPER_HEURISTICS",
     "RoutingState",
     "descend",
-    "flip_positions",
     "initial_moves",
     "SimulatedAnnealing",
     "GeneticRouting",

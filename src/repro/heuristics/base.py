@@ -1,4 +1,4 @@
-"""Heuristic interface, result record, registry and shared load helpers.
+"""Heuristic interface, result record and registry.
 
 Every heuristic consumes a :class:`~repro.core.problem.RoutingProblem` and
 produces a :class:`HeuristicResult`: the constructed
@@ -18,12 +18,9 @@ from __future__ import annotations
 import abc
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Sequence
-
-import numpy as np
+from typing import Callable, Dict, List, Sequence
 
 from repro.core.evaluate import RoutingReport, evaluate_routing
-from repro.core.power import PowerModel
 from repro.core.problem import RoutingProblem
 from repro.core.routing import Routing
 from repro.mesh.paths import Path
@@ -188,58 +185,3 @@ def get_heuristic(name: str) -> Heuristic:
 def available_heuristics() -> List[str]:
     """Names of all registered heuristics."""
     return sorted(_REGISTRY)
-
-
-# ----------------------------------------------------------------------
-# shared load-vector helpers
-# ----------------------------------------------------------------------
-def graded_power_delta(
-    power: PowerModel,
-    loads: np.ndarray,
-    deltas: Mapping[int, float],
-    *,
-    scale: np.ndarray | None = None,
-    dead: np.ndarray | None = None,
-) -> float:
-    """Graded-power change if each link ``lid`` gained ``deltas[lid]`` load.
-
-    Only the affected links are evaluated, so this is O(|deltas|) — the
-    delta-evaluation primitive of TB and XYI.  ``scale`` / ``dead`` are the
-    mesh's full-length per-link profile vectors (see
-    :mod:`repro.mesh.topology`); the affected links' coefficients are
-    gathered here, so callers pass the vectors straight through.
-    """
-    if not deltas:
-        return 0.0
-    lids = np.fromiter(deltas.keys(), dtype=np.int64, count=len(deltas))
-    dl = np.fromiter(deltas.values(), dtype=np.float64, count=len(deltas))
-    old = loads[lids]
-    new = old + dl
-    if new.min() < -1e-9:
-        raise InvalidParameterError("load delta would drive a link negative")
-    new = np.maximum(new, 0.0)
-    sc = None if scale is None else np.tile(scale[lids], 2)
-    dd = None if dead is None else np.tile(dead[lids], 2)
-    # one fused evaluation over [old | new] halves the numpy call overhead
-    both = power.link_power_graded(
-        np.concatenate([old, new]), scale=sc, dead=dd
-    )
-    k = old.size
-    return float(both[k:].sum() - both[:k].sum())
-
-
-def path_swap_deltas(
-    old_links: Sequence[int], new_links: Sequence[int], rate: float
-) -> Dict[int, float]:
-    """Net per-link load change when a flow moves from one path to another."""
-    deltas: Dict[int, float] = {}
-    for lid in old_links:
-        deltas[lid] = deltas.get(lid, 0.0) - rate
-    for lid in new_links:
-        d = deltas.get(lid, 0.0) + rate
-        if d == 0.0 and lid in deltas:
-            del deltas[lid]
-        else:
-            deltas[lid] = d
-    return {lid: d for lid, d in deltas.items() if d != 0.0}
-

@@ -26,7 +26,8 @@ import numpy as np
 
 from repro.core.problem import RoutingProblem
 from repro.heuristics.base import Heuristic, register_heuristic
-from repro.heuristics.local_moves import flip_positions, initial_moves
+from repro.heuristics.local_moves import initial_moves
+from repro.mesh.batch import flip_corners
 from repro.mesh.kernel import FlatRoutingKernel
 from repro.mesh.paths import Path
 from repro.utils.rng import RngLike, StreamReplica, ensure_rng
@@ -223,7 +224,7 @@ class GeneticRouting(Heuristic):
                 out[i] = dags[i].random_moves(rng, alive_only=True)
             else:
                 mv = out[i]
-                pos = flip_positions(mv)
+                pos = flip_corners(mv)
                 if pos:
                     j = pos[integers(len(pos))]
                     out[i] = mv[:j] + mv[j + 1] + mv[j] + mv[j + 2 :]

@@ -10,10 +10,12 @@ power to reach the sink through it — the power of the candidate link plus,
 for every remaining band between the candidate's head and the sink, the
 power of the least-loaded reachable band link if the communication were
 added to it.  The candidate with the smaller bound wins; ties fall back to
-SG's closest-to-the-diagonal rule.
+SG's closest-to-the-diagonal rule.  The walk itself is SG's
+(:func:`repro.heuristics.greedy.greedy_walk`) with the bound as its score.
 
-A walk only loads the band it is leaving, so every band a look-ahead reads
-keeps the loads it had when the walk began.  Each communication therefore
+A walk loads its links only once it reaches the sink, and a look-ahead
+reads only bands ahead of the walk, so every band it reads keeps the loads
+it had when the walk began.  Each communication therefore
 grades all its DAG links once and tabulates the band minima for every
 progress node in one suffix-minimum pass (:func:`lookahead_table`); a bound
 is the candidate's graded power plus its head's table row, summed left to
@@ -30,9 +32,8 @@ import numpy as np
 
 from repro.core.problem import RoutingProblem
 from repro.heuristics.base import Heuristic, register_heuristic
-from repro.heuristics.greedy import diagonal_offset
+from repro.heuristics.greedy import greedy_walk
 from repro.heuristics.ordering import DEFAULT_ORDERING
-from repro.mesh.moves import MOVE_H, MOVE_V
 from repro.mesh.paths import CommDag, Path
 
 
@@ -107,80 +108,42 @@ class ImprovedGreedy(Heuristic):
             for b, s in zip(pre_bands[i], pre_shares[i]):
                 loads[b] = np.maximum(loads[b] - s, 0.0)
             rate = comm.rate
-            du, dv = dag.du, dag.dv
             bwd = None
             if alive is not None and dag.has_live_path():
                 bwd = dag.live_reachability()[1]
-            # the walk only loads the band it is leaving, so every band
-            # a look-ahead reads keeps the loads it has now: grade each
-            # DAG link once and tabulate the band minima per node (built
-            # on the first two-way choice)
-            table = None
-            x = y = 0
-            moves: List[str] = []
-            while (x, y) != (du, dv):
-                cands = []  # (move, lid, x', y')
-                if x < du:
-                    cands.append((MOVE_V, dag.edge(x, y, MOVE_V), x + 1, y))
-                if y < dv:
-                    cands.append((MOVE_H, dag.edge(x, y, MOVE_H), x, y + 1))
-                if bwd is not None and len(cands) > 1:
-                    viable = [
-                        c for c in cands if alive[c[1]] and bwd[c[2], c[3]]
-                    ]
-                    if viable:
-                        cands = viable
-                if len(cands) == 1:
-                    move, lid, x2, y2 = cands[0]
-                else:
-                    if table is None:
-                        lids = dag.link_arrays()[0]
-                        # grade through the profile keywords so the bound
-                        # matches the objective (scale applies to the base
-                        # power only, never the overload penalty; a dead
-                        # link draws the zero-bandwidth penalty)
-                        fl = power.link_power_graded(
-                            loads[lids] + rate,
-                            scale=None if scale is None else scale[lids],
-                            dead=None if dead is None else dead[lids],
-                        )
-                        graded = dict(zip(lids.tolist(), fl.tolist()))
-                        table = lookahead_table(
-                            dag, fl, None if alive is None else alive[lids]
-                        )
-                    scored = []
-                    for move, lid, x2, y2 in cands:
-                        # left to right in Python floats: np.sum adds
-                        # pairwise and would round differently
-                        bound = graded[lid]
-                        for m in table[x2, y2, x2 + y2 :].tolist():
-                            bound += m
-                        scored.append((bound, move, lid, x2, y2))
-                    b_v, b_h = scored[0][0], scored[1][0]
-                    if b_v < b_h:
-                        _, move, lid, x2, y2 = scored[0]
-                    elif b_h < b_v:
-                        _, move, lid, x2, y2 = scored[1]
-                    else:
-                        # tie: same rule as SG — head closest to the diagonal,
-                        # residual tie preferring the horizontal hop
-                        offs = []
-                        for _, mv, ld, xx, yy in scored:
-                            head = dag.node_core(xx, yy)
-                            offs.append(
-                                (
-                                    diagonal_offset(comm.src, comm.snk, head),
-                                    1 if mv == MOVE_V else 0,
-                                    mv,
-                                    ld,
-                                    xx,
-                                    yy,
-                                )
-                            )
-                        offs.sort(key=lambda z: (z[0], z[1]))
-                        _, _, move, lid, x2, y2 = offs[0]
-                loads[lid] += rate
-                moves.append(move)
-                x, y = x2, y2
-            paths[i] = Path.from_validated(mesh, comm.src, comm.snk, "".join(moves))
+            # graded DAG links and their band-minimum table, built on the
+            # first two-way choice; the loads they read stay fixed until
+            # the walk is done
+            table = graded = None
+
+            def bound(lid: int, x: int, y: int) -> float:
+                nonlocal table, graded
+                if table is None:
+                    lids = dag.link_arrays()[0]
+                    # grade through the profile keywords so the bound
+                    # matches the objective (scale applies to the base
+                    # power only, never the overload penalty; a dead
+                    # link draws the zero-bandwidth penalty)
+                    fl = power.link_power_graded(
+                        loads[lids] + rate,
+                        scale=None if scale is None else scale[lids],
+                        dead=None if dead is None else dead[lids],
+                    )
+                    graded = dict(zip(lids.tolist(), fl.tolist()))
+                    table = lookahead_table(
+                        dag, fl, None if alive is None else alive[lids]
+                    )
+                # left to right in Python floats: np.sum adds pairwise
+                # and would round differently
+                b = graded[lid]
+                for m in table[x, y, x + y :].tolist():
+                    b += m
+                return b
+
+            moves, lids = greedy_walk(mesh, comm.src, comm.snk, bound, bwd)
+            lids = np.asarray(lids, dtype=np.int64)
+            loads[lids] += rate
+            paths[i] = Path.from_validated(
+                mesh, comm.src, comm.snk, moves, lids
+            )
         return paths  # type: ignore[return-value]

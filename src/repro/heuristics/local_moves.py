@@ -18,10 +18,11 @@ that owns the link-load vector and the graded total power and keeps both
 consistent under moves via O(1) flip-link arithmetic, a scalar fast path
 for small graded deltas, and one-NumPy-pass grading of whole candidate
 neighbourhoods.  All of it is float-for-float identical to evaluating
-each move through :func:`repro.heuristics.base.graded_power_delta`.
+each move through :func:`repro.mesh.batch.graded_power_delta`.
 The state adds only what needs the problem — seeding from a
-:class:`~repro.core.routing.Routing`, the fault-aware greedy reroute and
-export back to paths; every move goes through the ledger's
+:class:`~repro.core.routing.Routing`, the fault-aware greedy re-insertion
+(SG's :func:`~repro.heuristics.greedy.greedy_walk` scored on the ledger's
+loads) and export back to paths; every move goes through the ledger's
 ``flip_dcost``/``commit_flip`` and ``resample_eval``/``commit_resample``.
 """
 
@@ -33,12 +34,10 @@ import numpy as np
 
 from repro.core.problem import RoutingProblem
 from repro.core.routing import Routing
-from repro.mesh.batch import LoadLedger, flip_corners
+from repro.heuristics.greedy import greedy_walk
+from repro.mesh.batch import LoadLedger
 from repro.mesh.paths import Path
 from repro.utils.validation import InvalidParameterError
-
-#: historical name of :func:`repro.mesh.batch.flip_corners`
-flip_positions = flip_corners
 
 #: relative improvement threshold of :func:`descend` — flips whose gain is
 #: numerical dust (within 1e-12 of the current cost scale) do not count,
@@ -121,18 +120,30 @@ class RoutingState(LoadLedger):
     def reroute_greedy(self, ci: int):
         """Fault-aware greedy re-insertion proposal for ``ci``.
 
-        Wraps :meth:`~repro.mesh.batch.LoadLedger.greedy_reroute` with
-        SG's live-reachability guard: on a faulty mesh the walk is
-        constrained to hops that can still reach the sink over alive
-        links whenever a live path exists (blocked communications fall
-        back to the unconstrained walk and stay invalid, like SG).
+        SG's walk (:func:`repro.heuristics.greedy.greedy_walk`) on the
+        current loads with ``ci``'s own contribution removed, so the mesh
+        is scored as if the communication were freshly inserted; on a
+        faulty mesh it takes SG's live-reachability guard whenever a live
+        path exists (blocked communications fall back to the unconstrained
+        walk and stay invalid, like SG).  Returns ``(new_moves, new_links,
+        deltas, dcost)``, ready for :meth:`commit_resample`.
         """
+        loads = self._loads_l
+        rate = self._rates_l[ci]
+        own = set(self.links[ci])
+
+        def score(lid: int, x: int, y: int) -> float:
+            return loads[lid] - rate if lid in own else loads[lid]
+
         bwd = None
         if self.mesh.link_mask is not None:
             dag = self.problem.dag(ci)
             if dag.has_live_path():
                 bwd = dag.live_reachability()[1]
-        return self.greedy_reroute(ci, bwd=bwd)
+        comm = self.problem.comms[ci]
+        moves, _ = greedy_walk(self.mesh, comm.src, comm.snk, score, bwd)
+        new_links, deltas, dcost = self.resample_eval(ci, moves)
+        return moves, new_links, deltas, dcost
 
     # ------------------------------------------------------------------
     # export

@@ -25,7 +25,7 @@ local-search metaheuristics and the warm-start polish share:
   maintained link index (:meth:`~repro.mesh.batch.LoadLedger.comms_using`);
 * each candidate relocation is graded as a whole-path resample
   (:meth:`~repro.mesh.batch.LoadLedger.resample_eval`), whose delta and
-  graded float math equal :func:`repro.heuristics.base.graded_power_delta`
+  graded float math equal :func:`repro.mesh.batch.graded_power_delta`
   bit for bit, and the best one is committed with
   :meth:`~repro.mesh.batch.LoadLedger.commit_resample`;
 * the accept threshold is scaled by a from-scratch graded total

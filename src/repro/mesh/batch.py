@@ -29,8 +29,8 @@ Each move has one entry point, the one every searcher calls: a flip is
 and :meth:`~LoadLedger.restore` rebuilds the whole state from move
 strings.
 
-Three grading tiers, all **bit-identical** to
-:func:`repro.heuristics.base.graded_power_delta` on the same delta:
+Three grading tiers, all **bit-identical** to :func:`graded_power_delta`
+(the NumPy reference, defined here) on the same delta:
 
 * :meth:`LoadLedger.flip_dcost` — pure-Python scalar math (discrete
   frequency models only; continuous models use vectorised ``pow`` whose
@@ -42,9 +42,9 @@ Three grading tiers, all **bit-identical** to
   one ``link_power_graded`` call over a ``(C, 8)`` matrix with per-row
   segment sums.
 * :meth:`LoadLedger.resample_eval` — O(path-length) diff through
-  :func:`~repro.heuristics.base.path_swap_deltas`, graded through the
-  scalar path when the diff stays under NumPy's sequential-sum threshold
-  and through ``graded_power_delta`` otherwise.
+  :func:`path_swap_deltas`, graded through the scalar path when the diff
+  stays under NumPy's sequential-sum threshold and through
+  ``graded_power_delta`` otherwise.
 
 ``tests/test_batch_ledger.py`` asserts the tier equivalences property-by-
 property and ``tests/test_meta_probes.py`` pins the end-to-end GA/SA/TABU
@@ -54,12 +54,12 @@ routings recorded from the pre-ledger scalar implementations.
 from __future__ import annotations
 
 from bisect import insort
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from repro.mesh.kernel import FlatRoutingKernel, direction_link_bases
-from repro.mesh.moves import MOVE_H, MOVE_V
+from repro.mesh.moves import MOVE_V
 from repro.mesh.topology import Mesh
 from repro.utils.validation import InvalidParameterError
 
@@ -105,20 +105,56 @@ def _pairwise_sum(a: Sequence[float]) -> float:
         i += 1
     return res
 
-# repro.heuristics.base helpers, bound on first ledger construction — a
-# module-level import would cycle through the heuristics package while it
-# is itself importing this module
-_path_swap_deltas = None
-_graded_power_delta = None
+
+def graded_power_delta(
+    power,
+    loads: np.ndarray,
+    deltas: Mapping[int, float],
+    *,
+    scale: np.ndarray | None = None,
+    dead: np.ndarray | None = None,
+) -> float:
+    """Graded-power change if each link ``lid`` gained ``deltas[lid]`` load.
+
+    Only the affected links are evaluated, so this is O(|deltas|) — the
+    NumPy grading tier of :class:`LoadLedger`.  ``scale`` / ``dead`` are
+    the mesh's full-length per-link profile vectors (see
+    :mod:`repro.mesh.topology`); the affected links' coefficients are
+    gathered here, so callers pass the vectors straight through.
+    """
+    if not deltas:
+        return 0.0
+    lids = np.fromiter(deltas.keys(), dtype=np.int64, count=len(deltas))
+    dl = np.fromiter(deltas.values(), dtype=np.float64, count=len(deltas))
+    old = loads[lids]
+    new = old + dl
+    if new.min() < -1e-9:
+        raise InvalidParameterError("load delta would drive a link negative")
+    new = np.maximum(new, 0.0)
+    sc = None if scale is None else np.tile(scale[lids], 2)
+    dd = None if dead is None else np.tile(dead[lids], 2)
+    # one fused evaluation over [old | new] halves the numpy call overhead
+    both = power.link_power_graded(
+        np.concatenate([old, new]), scale=sc, dead=dd
+    )
+    k = old.size
+    return float(both[k:].sum() - both[:k].sum())
 
 
-def _bind_heuristic_helpers() -> None:
-    global _path_swap_deltas, _graded_power_delta
-    if _path_swap_deltas is None:
-        from repro.heuristics.base import graded_power_delta, path_swap_deltas
-
-        _path_swap_deltas = path_swap_deltas
-        _graded_power_delta = graded_power_delta
+def path_swap_deltas(
+    old_links: Sequence[int], new_links: Sequence[int], rate: float
+) -> Dict[int, float]:
+    """Net per-link load change when a flow moves from one path to another."""
+    deltas: Dict[int, float] = {}
+    for lid in old_links:
+        deltas[lid] = deltas.get(lid, 0.0) - rate
+    for lid in new_links:
+        d = deltas.get(lid, 0.0) + rate
+        if d == 0.0 and lid in deltas:
+            del deltas[lid]
+        else:
+            deltas[lid] = d
+    return {lid: d for lid, d in deltas.items() if d != 0.0}
 
 
 def flip_corners(moves: Sequence[str]) -> List[int]:
@@ -211,7 +247,6 @@ class LoadLedger:
         *,
         kernel: FlatRoutingKernel | None = None,
     ):
-        _bind_heuristic_helpers()
         if kernel is None:
             kernel = FlatRoutingKernel(mesh, endpoints, rates)
         if len(moves_list) != kernel.num_comms:
@@ -395,7 +430,7 @@ class LoadLedger:
         """Graded-cost change of a per-link load diff (either tier)."""
         if self._scalar and len(deltas) <= _PW_BLOCK:
             return self._graded_delta_scalar(deltas.keys(), deltas.values())
-        return _graded_power_delta(
+        return graded_power_delta(
             self.power, self.loads, deltas, scale=self.scale, dead=self.dead
         )
 
@@ -438,7 +473,7 @@ class LoadLedger:
         n1, n2 = self._flip_new_links(ci, j)
         r = self._rates_l[ci]
         if not self._scalar:
-            return _graded_power_delta(
+            return graded_power_delta(
                 self.power,
                 self.loads,
                 {o1: -r, o2: -r, n1: r, n2: r},
@@ -662,7 +697,7 @@ class LoadLedger:
         without re-validation.
         """
         new_links = self._trusted_links(ci, new_moves)
-        deltas = _path_swap_deltas(
+        deltas = path_swap_deltas(
             self.links[ci], new_links, self._rates_l[ci]
         )
         return new_links, deltas, self._graded_delta(deltas)
@@ -742,98 +777,6 @@ class LoadLedger:
         replaces.
         """
         return sorted(self._link_comms[lid])
-
-    # ------------------------------------------------------------------
-    # greedy re-insertion (warm-start repair)
-    # ------------------------------------------------------------------
-    def greedy_moves(self, ci: int, *, bwd=None) -> str:
-        """Least-loaded greedy move string for ``ci`` on the current loads.
-
-        Replicates SG's walk (:mod:`repro.heuristics.greedy`): among the at
-        most two Manhattan-feasible next hops take the lighter link,
-        breaking ties toward the straight src→snk diagonal, a residual tie
-        toward the horizontal hop.  ``ci``'s **own** current contribution
-        is subtracted from every link it crosses, so the walk scores the
-        mesh as if the communication were being freshly re-inserted.
-        ``bwd`` optionally constrains the walk to hops whose head can
-        still reach the sink over alive links (the backward table of
-        :meth:`repro.mesh.paths.CommDag.live_reachability`), exactly like
-        SG's fault-aware mode.
-        """
-        loads_l = self._loads_l
-        rate = self._rates_l[ci]
-        own = set(self.links[ci])
-        q = self._q
-        su, sv = self._su[ci], self._sv[ci]
-        vb, hb = self._vbase[ci], self._hbase[ci]
-        src_u, src_v = self._src_u[ci], self._src_v[ci]
-        snk_u = src_u + su * self._du[ci]
-        snk_v = src_v + sv * self._dv[ci]
-        alive = None if bwd is None else self.mesh.link_mask
-        ddu = snk_u - src_u
-        ddv = snk_v - src_v
-        u, v = src_u, src_v
-        x = y = 0  # progress coordinates (only consulted when bwd set)
-        out: List[str] = []
-        append = out.append
-        while u != snk_u or v != snk_v:
-            if u == snk_u:
-                move, lid = MOVE_H, hb + u * (q - 1) + v
-            elif v == snk_v:
-                move, lid = MOVE_V, vb + u * q + v
-            else:
-                lv = vb + u * q + v
-                lh = hb + u * (q - 1) + v
-                forced = None
-                if bwd is not None:
-                    viab_v = alive[lv] and bwd[x + 1, y]
-                    viab_h = alive[lh] and bwd[x, y + 1]
-                    if viab_v != viab_h:
-                        forced = (MOVE_V, lv) if viab_v else (MOVE_H, lh)
-                if forced is not None:
-                    move, lid = forced
-                else:
-                    load_v = loads_l[lv] - rate if lv in own else loads_l[lv]
-                    load_h = loads_l[lh] - rate if lh in own else loads_l[lh]
-                    if load_v < load_h:
-                        move, lid = MOVE_V, lv
-                    elif load_h < load_v:
-                        move, lid = MOVE_H, lh
-                    else:
-                        # tie: head core closest to the src→snk diagonal
-                        # (|cross product|, as SG's diagonal_offset), a
-                        # residual tie prefers the horizontal hop
-                        dv_off = abs(
-                            ddu * (v - src_v) - ddv * (u + su - src_u)
-                        )
-                        dh_off = abs(
-                            ddu * (v + sv - src_v) - ddv * (u - src_u)
-                        )
-                        if dv_off < dh_off:
-                            move, lid = MOVE_V, lv
-                        else:
-                            move, lid = MOVE_H, lh
-            append(move)
-            if move == MOVE_V:
-                u += su
-                x += 1
-            else:
-                v += sv
-                y += 1
-        return "".join(out)
-
-    def greedy_reroute(
-        self, ci: int, *, bwd=None
-    ) -> Tuple[str, List[int], Dict[int, float], float]:
-        """Greedy re-insertion proposal for ``ci``.
-
-        The :meth:`greedy_moves` path with its resample delta against the
-        current state — ``(new_moves, new_links, deltas, dcost)``, ready
-        for :meth:`commit_resample`.
-        """
-        new_moves = self.greedy_moves(ci, bwd=bwd)
-        new_links, deltas, dcost = self.resample_eval(ci, new_moves)
-        return new_moves, new_links, deltas, dcost
 
     def most_loaded_links(self, k: int = 1) -> List[int]:
         """The ``k`` most loaded link ids, heaviest first (ties arbitrary)."""

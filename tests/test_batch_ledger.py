@@ -6,7 +6,7 @@ equivalences, each fuzzed here:
 * population-batched GA generation grading == per-individual scalar
   grading (loads and graded powers; pristine and faulty/derated meshes);
 * the ledger's scalar flip fast path (``flip_dcost``) ==
-  :func:`repro.heuristics.base.graded_power_delta` on the flip geometry
+  :func:`repro.mesh.batch.graded_power_delta` on the flip geometry
   of the scalar oracle :func:`repro.mesh.moves.moves_to_links`;
 * the one-pass candidate-neighbourhood grading == per-candidate grading,
   for discrete *and* continuous power models;
@@ -28,9 +28,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Communication, Mesh, PowerModel, RoutingProblem
-from repro.heuristics.base import graded_power_delta, path_swap_deltas
-from repro.heuristics.local_moves import RoutingState, flip_positions
-from repro.mesh.batch import _pairwise_sum
+from repro.heuristics.local_moves import RoutingState
+from repro.mesh.batch import (
+    _pairwise_sum,
+    flip_corners,
+    graded_power_delta,
+    path_swap_deltas,
+)
 from repro.mesh.moves import moves_to_links
 from repro.scenarios.spec import MeshSpec, duplex
 
@@ -136,7 +140,7 @@ class TestDeltaTiers:
         cands = [
             (ci, j)
             for ci in range(problem.num_comms)
-            for j in flip_positions(state.moves[ci])
+            for j in flip_corners(state.moves[ci])
         ]
         if not cands:
             return
@@ -163,7 +167,7 @@ class TestDeltaTiers:
         cands = [
             (ci, j)
             for ci in range(problem.num_comms)
-            for j in flip_positions(state.moves[ci])
+            for j in flip_corners(state.moves[ci])
         ]
         if not cands:
             return
@@ -251,7 +255,7 @@ class TestLedgerWalkConsistency:
             state.move_str(i) for i in range(problem.num_comms)
         ]
         for i in range(problem.num_comms):
-            assert state.flip_pos(i) == flip_positions(state.moves[i])
+            assert state.flip_pos(i) == flip_corners(state.moves[i])
             assert fresh._cumv[i] == state._cumv[i]
         assert fresh._link_comms == state._link_comms
         # incremental float accumulation vs from-scratch rebuild: equal up

@@ -1,10 +1,16 @@
-"""Behavioural tests for the XY/YX baselines and SG (simple greedy)."""
+"""Behavioural tests for the XY/YX baselines, SG (simple greedy) and the
+greedy hop walk that SG, IG and the warm re-insertion share."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro import Communication, RoutingProblem
+from repro import Communication, Mesh, RoutingProblem
 from repro.heuristics import SimpleGreedy, XYRouting, YXRouting
-from repro.heuristics.greedy import diagonal_offset
+from repro.heuristics.greedy import diagonal_offset, greedy_walk
+from repro.mesh.moves import moves_to_cores, moves_to_links
+from repro.mesh.paths import CommDag
 
 
 class TestXYBaselines:
@@ -106,3 +112,122 @@ class TestSimpleGreedy:
         sg = SimpleGreedy().solve(prob)
         assert not xy.valid  # 4500 on one link
         assert sg.valid  # SG spreads the three
+
+
+def _flat(lid, x, y):
+    return 0.0
+
+
+class TestGreedyWalk:
+    def test_score_called_only_at_two_way_hops(self, mesh8):
+        src, snk = (1, 6), (4, 2)
+        dag = CommDag(mesh8, src, snk)
+        calls = []
+
+        def score(lid, x, y):
+            calls.append((lid, x, y))
+            return float(lid % 7)
+
+        moves, _ = greedy_walk(mesh8, src, snk, score)
+        # the progress nodes the walk left, in order
+        nodes = [(0, 0)]
+        for m in moves[:-1]:
+            x, y = nodes[-1]
+            nodes.append((x + 1, y) if m == "V" else (x, y + 1))
+        two_way = [(x, y) for x, y in nodes if x < dag.du and y < dag.dv]
+        # one vertical then one horizontal call per two-way node, each
+        # with the hop's link and its head's progress coordinates
+        expected = []
+        for x, y in two_way:
+            expected.append((dag.edge(x, y, "V"), x + 1, y))
+            expected.append((dag.edge(x, y, "H"), x, y + 1))
+        assert calls == expected
+
+    def test_smaller_score_wins(self, mesh8):
+        # a vertical head keeps y == 0, so it out-scores the diagonal
+        # tie-break all the way down
+        moves, _ = greedy_walk(
+            mesh8, (0, 0), (3, 3), lambda lid, x, y: 0.0 if y == 0 else 1.0
+        )
+        assert moves == "VVVHHH"
+
+    def test_equal_score_goes_nearer_the_diagonal(self, mesh8):
+        # (0,0)->(1,3): the horizontal head (0,1) lies nearer the diagonal
+        # than the vertical head (1,0), then the tie at (0,1) is residual
+        moves, _ = greedy_walk(mesh8, (0, 0), (1, 3), _flat)
+        assert moves == "HHVH"
+        assert diagonal_offset((0, 0), (1, 3), (0, 1)) < diagonal_offset(
+            (0, 0), (1, 3), (1, 0)
+        )
+
+    @pytest.mark.parametrize(
+        "src, snk", [((0, 0), (3, 3)), ((3, 3), (0, 0)), ((0, 5), (3, 2))]
+    )
+    def test_residual_tie_goes_horizontal(self, mesh8, src, snk):
+        # on the diagonal both heads are equally far off it: horizontal
+        # first, then back onto the diagonal, in every direction
+        moves, _ = greedy_walk(mesh8, src, snk, _flat)
+        assert moves == "HVHVHV"
+
+    def test_bwd_forces_away_from_dead_hop(self):
+        mesh = Mesh(3, 3).with_faults([((0, 0), (1, 0))])
+        src, snk = (0, 0), (2, 2)
+        bwd = CommDag(mesh, src, snk).live_reachability()[1]
+        calls = []
+
+        def score(lid, x, y):
+            calls.append((x, y))
+            return -1.0 if x > 0 else 1.0  # every vertical hop looks best
+
+        moves, lids = greedy_walk(mesh, src, snk, score, bwd)
+        assert moves[0] == "H"
+        assert (1, 0) not in calls  # the forced first hop is not scored
+        assert all(mesh.link_mask[lids])
+        # without the guard the walk takes the dead link
+        moves, lids = greedy_walk(mesh, src, snk, score)
+        assert moves[0] == "V" and not mesh.link_mask[lids[0]]
+
+    def test_bwd_forces_away_from_sink_unreachable_head(self):
+        # the head (1,0) is alive but its only way on, east to (1,1), is
+        # dead, so from (0,0) only the horizontal hop is viable
+        mesh = Mesh(3, 3).with_faults([((1, 0), (1, 1))])
+        src, snk = (0, 0), (1, 2)
+        dag = CommDag(mesh, src, snk)
+        bwd = dag.live_reachability()[1]
+        assert mesh.link_mask[dag.edge(0, 0, "V")] and not bwd[1, 0]
+        moves, lids = greedy_walk(
+            mesh, src, snk, lambda lid, x, y: -float(x), bwd
+        )
+        assert moves[0] == "H"
+        assert all(mesh.link_mask[lids])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        p=st.integers(2, 7),
+        q=st.integers(2, 7),
+        fault_prob=st.floats(0.0, 0.4),
+    )
+    def test_lids_match_moves_and_end_at_sink(self, seed, p, q, fault_prob):
+        rng = np.random.default_rng(seed)
+        mesh = Mesh(p, q)
+        dead = np.flatnonzero(rng.random(mesh.num_links) < fault_prob)
+        if dead.size:
+            mesh = mesh.with_faults(dead.tolist())
+        src = (int(rng.integers(p)), int(rng.integers(q)))
+        snk = (int(rng.integers(p)), int(rng.integers(q)))
+        if src == snk:
+            return
+        dag = CommDag(mesh, src, snk)
+        bwd = None
+        if mesh.link_mask is not None and dag.has_live_path():
+            bwd = dag.live_reachability()[1]
+        noise = rng.random(mesh.num_links)
+        moves, lids = greedy_walk(
+            mesh, src, snk, lambda lid, x, y: float(noise[lid]), bwd
+        )
+        assert len(moves) == dag.length
+        assert moves_to_cores(src, snk, moves)[-1] == snk
+        assert lids == moves_to_links(mesh, src, snk, moves)
+        if bwd is not None:
+            assert all(mesh.link_mask[lids])

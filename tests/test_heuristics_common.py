@@ -17,11 +17,8 @@ from repro.heuristics import (
     available_heuristics,
     get_heuristic,
 )
-from repro.heuristics.base import (
-    graded_power_delta,
-    path_swap_deltas,
-)
 from repro.heuristics.local_moves import RoutingState
+from repro.mesh.batch import graded_power_delta, path_swap_deltas
 from repro.scenarios import MeshSpec, duplex
 from repro.utils.validation import InvalidParameterError
 from repro.workloads import uniform_random_workload

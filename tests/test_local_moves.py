@@ -14,11 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Communication, Mesh, PowerModel, RoutingProblem
-from repro.heuristics.local_moves import (
-    RoutingState,
-    flip_positions,
-    initial_moves,
-)
+from repro.heuristics.local_moves import RoutingState, initial_moves
+from repro.mesh.batch import flip_corners
 from repro.mesh.moves import moves_to_links
 from repro.mesh.paths import Path
 from repro.utils.validation import InvalidParameterError
@@ -45,17 +42,17 @@ def resample(state: RoutingState, ci: int, new_moves: str) -> None:
 
 class TestFlipPositions:
     def test_alternating(self):
-        assert flip_positions("HVHV") == [0, 1, 2]
+        assert flip_corners("HVHV") == [0, 1, 2]
 
     def test_blocked(self):
-        assert flip_positions("HHVV") == [1]
+        assert flip_corners("HHVV") == [1]
 
     def test_uniform_string_has_none(self):
-        assert flip_positions("HHHH") == []
+        assert flip_corners("HHHH") == []
 
     def test_empty_and_single(self):
-        assert flip_positions("") == []
-        assert flip_positions("H") == []
+        assert flip_corners("") == []
+        assert flip_corners("H") == []
 
 
 class TestRoutingStateConstruction:
@@ -151,7 +148,7 @@ class TestResample:
         new_mv = random_problem.dag(ci).random_moves(rng)
         resample(state, ci, new_mv)
         assert "".join(state.moves[ci]) == new_mv
-        assert state.flip_pos(ci) == flip_positions(new_mv)
+        assert state.flip_pos(ci) == flip_corners(new_mv)
         resample(state, ci, original)
         assert state.cost == pytest.approx(state.recompute_cost())
 
